@@ -26,11 +26,12 @@ import (
 const InternalRunPath = "/internal/v1/run"
 
 // ForwardRequest is the compact wire form of a RunSpec. The op streams are
-// never shipped — both sides regenerate the workload deterministically from
-// (name, ranks, scale) via workload.Catalog, and the owner verifies the
-// rebuilt spec hashes to the forwarder's key before running, so any
-// catalog divergence between nodes is a hard 409 rather than a silently
-// different measurement.
+// never shipped: both sides identify the workload by its catalog recipe
+// (name, ranks, scale, generator revision), and the owner verifies the
+// rebuilt spec hashes to the forwarder's key before running, so a
+// generator or model revision divergence between nodes is a hard 409
+// rather than a silently different measurement. The owner generates the
+// ops only if it has to simulate.
 type ForwardRequest struct {
 	Key      string            `json:"key"`
 	Workload string            `json:"workload"`
@@ -58,14 +59,15 @@ func NewForwardRequest(spec platform.RunSpec, key string) ForwardRequest {
 	return req
 }
 
-// RunSpec rebuilds the full trial on the owner side, regenerating the op
-// streams from the catalog. Unknown workload names surface as
-// workload.ErrUnknown for the handler to map onto its error code.
+// RunSpec rebuilds the full trial on the owner side around a deferred
+// catalog workload, so checking the key generates nothing. Unknown
+// workload names surface as workload.ErrUnknown for the handler to map
+// onto its error code.
 func (f ForwardRequest) RunSpec() (platform.RunSpec, error) {
 	if err := f.Spec.Validate(); err != nil {
 		return platform.RunSpec{}, fmt.Errorf("peering: invalid cluster spec: %w", err)
 	}
-	wl, err := workload.Catalog(f.Workload, f.Spec.TotalRanks(), f.Scale)
+	wl, err := workload.Defer(f.Workload, f.Spec.TotalRanks(), f.Scale)
 	if err != nil {
 		return platform.RunSpec{}, err
 	}

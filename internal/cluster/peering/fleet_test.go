@@ -39,7 +39,7 @@ func (c *countPlat) Run(ctx context.Context, spec platform.RunSpec) (*platform.R
 }
 
 // testSpec builds a small deterministic trial.
-func testSpec(t *testing.T, seed int64) platform.RunSpec {
+func testSpec(t testing.TB, seed int64) platform.RunSpec {
 	t.Helper()
 	spec := cluster.Default()
 	wl, err := workload.Catalog("IOR_16M", spec.TotalRanks(), 0.01)
@@ -308,4 +308,56 @@ func TestNewRejectsEmptySelf(t *testing.T) {
 	if _, err := New("", []string{"a:1"}, &countPlat{}); err == nil {
 		t.Fatal("New with empty self should fail")
 	}
+}
+
+// FuzzForwardRequest: any body an owner might receive decodes, rebuilds
+// and keys without panicking, and a decodable request keeps its key across
+// a marshal/decode round trip — the trip every forward takes.
+func FuzzForwardRequest(f *testing.F) {
+	spec := testSpec(f, 9)
+	spec.Config = map[string]int64{"osc.max_pages_per_rpc": 512}
+	seed, err := json.Marshal(NewForwardRequest(spec, spec.Key()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	spec.Faults = lustre.FaultPlan{Seed: 3, Severity: 0.4}
+	if seed, err = json.Marshal(NewForwardRequest(spec, spec.Key())); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	// Empty lists and negative zeros do not survive a round trip.
+	cs, err := json.Marshal(spec.Spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"workload":"MDWorkbench_8K","scale":-0,"spec":` + string(cs) + `,"faults":{"seed":1,"severity":-0,"osts":[]}}`))
+	f.Add([]byte(`{"workload":"bogus"}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ForwardRequest
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		rs, err := req.RunSpec()
+		if err != nil {
+			return
+		}
+		key := rs.Key()
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		var again ForwardRequest
+		if err := json.Unmarshal(data, &again); err != nil {
+			t.Fatalf("decode of own encoding %s: %v", data, err)
+		}
+		rs2, err := again.RunSpec()
+		if err != nil {
+			t.Fatalf("round-tripped request %s no longer rebuilds: %v", data, err)
+		}
+		if got := rs2.Key(); got != key {
+			t.Fatalf("key changed across a round trip of %s: %s -> %s", body, key[:12], got[:12])
+		}
+	})
 }

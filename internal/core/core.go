@@ -236,7 +236,7 @@ func (e *Engine) EvaluateSeries(ctx context.Context, workloadName string, cfg pa
 }
 
 // EvaluateBatch is the batched form of EvaluateSeries: the workload is
-// built and the configuration rendered over defaults exactly once, and the
+// resolved and the configuration rendered over defaults exactly once, and the
 // resulting immutable snapshot is shared by every repetition, so the
 // per-rep cost is one platform run and nothing else. Each rep's seed stays
 // the same pure function of its index as in per-rep Evaluate — seedBase +
@@ -256,7 +256,9 @@ func (e *Engine) EvaluateBatchFaults(ctx context.Context, workloadName string, c
 	if err := faults.Validate(); err != nil {
 		return nil, stats.Summary{}, fmt.Errorf("core: %w", err)
 	}
-	w, err := workload.Catalog(workloadName, e.opts.Spec.TotalRanks(), e.opts.Scale)
+	// Deferred: a batch served from a run cache never generates the ops;
+	// a miss generates them once, shared by every rep.
+	w, err := workload.Defer(workloadName, e.opts.Spec.TotalRanks(), e.opts.Scale)
 	if err != nil {
 		return nil, stats.Summary{}, err
 	}

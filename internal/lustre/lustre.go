@@ -16,6 +16,12 @@ import (
 	"stellar/internal/workload"
 )
 
+// ModelRevision identifies the model's behaviour. Every run-cache key folds
+// it in, so bumping it retires every recorded run and cache directory
+// entry made by an older model at once. Bump it with any change that
+// alters a simulated result; TestModelRevisionGolden fails until you do.
+const ModelRevision = 1
+
 // Options configures a simulated run.
 type Options struct {
 	Spec   cluster.Spec

@@ -7,21 +7,22 @@
 // to disk for deterministic, cluster-free regression runs; future adapters
 // can drive a real cluster behind the same interface.
 //
-// Every RunSpec has a stable content-addressed Key derived from the full
-// cluster spec, the workload's complete op streams, the configuration, and
-// the seed. Two specs with equal keys describe byte-identical trials, which
-// is what makes run caching (internal/runcache) and replay sound.
+// Every RunSpec has a stable content-addressed Key derived from the model
+// revision, the full cluster spec, the workload's identity (its catalog
+// recipe, or else its complete op streams), the configuration, and the
+// seed. Two specs with equal keys describe byte-identical trials, which is
+// what makes run caching (internal/runcache) and replay sound. A change to
+// the model or to a catalog generator must bump lustre.ModelRevision or
+// workload.Revision; golden tests in both packages enforce it.
 package platform
 
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"hash"
 	"sort"
-	"sync"
 
 	"stellar/internal/cluster"
 	"stellar/internal/lustre"
@@ -63,24 +64,26 @@ type Platform interface {
 }
 
 // Key returns the content-addressed identity of the trial: a hex SHA-256
-// over the cluster spec, the workload content (name, scale, file table,
-// phases, and every op of every rank), the effective configuration, and the
-// seed. It is stable across processes, so it doubles as the on-disk name
-// for recorded runs.
+// over the model revision, the cluster spec, the workload's identity, the
+// effective configuration, and the seed. It is stable across processes, so
+// it doubles as the on-disk name for recorded runs.
 //
-// Hashing the op streams is O(total ops), so the workload portion of the
-// digest is memoized per *Workload: every stacked layer (cache over
-// recorder, replayer) re-derives the key, and cache hits must not pay a
-// full-workload hash each time. Workloads are immutable once built by
-// workload.Catalog; mutating one in place after its first Key would go
-// unnoticed — derive a fresh Workload instead.
+// A catalog workload is identified by its recipe (family, ranks, scale,
+// generator revision), so keying one generates and hashes no op. Any other
+// workload — including a struct copy of a catalog one — is identified by
+// its complete content, hashed on every call.
 func (s RunSpec) Key() string {
 	h := sha256.New()
+	fmt.Fprintf(h, "model %d\n", lustre.ModelRevision)
 	// Cluster spec: all fields are scalars, and %#v renders them in
 	// declaration order with their field names, so any spec change alters
 	// the key.
 	fmt.Fprintf(h, "%#v\n", s.Spec)
-	h.Write(workloadDigest(s.Workload))
+	if r, ok := s.Workload.Recipe(); ok {
+		fmt.Fprintf(h, "recipe %q ranks %d scale %g rev %d\n", r.Family, r.Ranks, r.Scale, r.Revision)
+	} else {
+		s.Workload.WriteContent(h)
+	}
 
 	names := make([]string, 0, len(s.Config))
 	for k := range s.Config {
@@ -91,84 +94,18 @@ func (s RunSpec) Key() string {
 		fmt.Fprintf(h, "cfg %s=%d\n", k, s.Config[k])
 	}
 	fmt.Fprintf(h, "seed %d\n", s.Seed)
-	// The fault plan only enters the digest when non-zero: clean-run keys
-	// stay byte-stable across the feature's introduction (committed
-	// recordings and warm caches keep hitting), while any injected fault
-	// schedule yields a distinct key.
+	// The fault plan only enters the digest when non-zero, so an explicit
+	// zero plan keys exactly like an omitted one. It is hashed in its JSON
+	// wire form, so a plan keys the same after a forward's round trip
+	// (which drops empty lists and negative zeros).
 	if !s.Faults.IsZero() {
-		fmt.Fprintf(h, "faults %#v\n", s.Faults)
+		plan, err := json.Marshal(s.Faults)
+		if err != nil { // NaN or Inf: Validate rejects the plan before any run
+			plan = fmt.Appendf(nil, "%#v", s.Faults)
+		}
+		fmt.Fprintf(h, "faults %s\n", plan)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// The digest memo is keyed by pointer identity and bounded: drivers build a
-// fresh *Workload per Evaluate/Tune call, so an unbounded map would retain
-// every op stream for process lifetime. FIFO eviction caps retention at
-// wlMemoCap workloads; an evicted entry just recomputes.
-const wlMemoCap = 128
-
-var (
-	wlMu   sync.Mutex
-	wlMap  = map[*workload.Workload][]byte{}
-	wlFIFO []*workload.Workload
-)
-
-func workloadDigest(w *workload.Workload) []byte {
-	wlMu.Lock()
-	if d, ok := wlMap[w]; ok {
-		wlMu.Unlock()
-		return d
-	}
-	wlMu.Unlock()
-
-	h := sha256.New()
-	fmt.Fprintf(h, "workload %q iface %q scale %g compute %g dirs %d\n",
-		w.Name, w.Interface, w.Scale, w.ComputePerOp, w.DirCount)
-	var buf [40]byte
-	for _, fm := range w.Files {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(fm.Dir))
-		buf[4] = 0
-		if fm.Shared {
-			buf[4] = 1
-		}
-		h.Write(buf[:5])
-	}
-	for _, ph := range w.Phases {
-		fmt.Fprintf(h, "phase %q %d\n", ph.Name, ph.Start)
-	}
-	for _, ops := range w.Ranks {
-		hashOps(h, ops, buf[:])
-	}
-	d := h.Sum(nil)
-
-	wlMu.Lock()
-	defer wlMu.Unlock()
-	if prev, ok := wlMap[w]; ok {
-		return prev
-	}
-	wlMap[w] = d
-	wlFIFO = append(wlFIFO, w)
-	if len(wlFIFO) > wlMemoCap {
-		delete(wlMap, wlFIFO[0])
-		wlFIFO = wlFIFO[1:]
-	}
-	return d
-}
-
-// hashOps writes one rank's op stream into h using a fixed 33-byte binary
-// encoding per op; a rank boundary marker keeps (rank0: a,b)(rank1: c)
-// distinct from (rank0: a)(rank1: b,c).
-func hashOps(h hash.Hash, ops []workload.Op, buf []byte) {
-	for _, op := range ops {
-		buf[0] = byte(op.Type)
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(op.File))
-		binary.LittleEndian.PutUint32(buf[5:9], uint32(op.Dir))
-		binary.LittleEndian.PutUint64(buf[9:17], uint64(op.Offset))
-		binary.LittleEndian.PutUint64(buf[17:25], uint64(op.Size))
-		binary.LittleEndian.PutUint32(buf[25:29], uint32(op.Index))
-		h.Write(buf[:29])
-	}
-	h.Write([]byte{0xff, 'r', 'a', 'n', 'k'})
 }
 
 // Simulator is the default Platform: the in-process discrete-event Lustre
@@ -179,8 +116,10 @@ type Simulator struct{}
 func (Simulator) Name() string { return "sim" }
 
 // Run implements Platform by executing the trial on the simulated file
-// system.
+// system, generating a deferred catalog workload's ops first. Reps that
+// share one workload share that generation.
 func (Simulator) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
+	spec.Workload.Load()
 	res, err := lustre.Run(ctx, spec.Workload, lustre.Options{
 		Spec: spec.Spec, Config: spec.Config, Seed: spec.Seed,
 		Faults: spec.Faults, Trace: spec.Trace,

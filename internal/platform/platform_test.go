@@ -306,3 +306,55 @@ func TestRecorderKeepsTracedRecording(t *testing.T) {
 		t.Fatalf("want exactly one recording, got %d", len(matches))
 	}
 }
+
+// TestDeferredKeyMatchesCatalog: a deferred catalog workload keys exactly
+// like a generated one, and keying it generates nothing.
+func TestDeferredKeyMatchesCatalog(t *testing.T) {
+	built := testRunSpec(t, 7)
+	deferred := built
+	w, err := workload.Defer("IOR_16M", built.Spec.TotalRanks(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred.Workload = w
+	if deferred.Key() != built.Key() {
+		t.Fatal("deferred workload keys differently from the generated one")
+	}
+	if w.Ranks != nil {
+		t.Fatal("Key generated the deferred workload")
+	}
+	got, err := Simulator{}.Run(context.Background(), deferred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Simulator{}.Run(context.Background(), built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("deferred run diverged from the generated one")
+	}
+}
+
+// TestReadRecordingRejectsForeignKey: a recording copied under another
+// key's name must not answer for that key.
+func TestReadRecordingRejectsForeignKey(t *testing.T) {
+	dir := t.TempDir()
+	a, b := testRunSpec(t, 1), testRunSpec(t, 2)
+	if _, err := (&Recorder{Inner: Simulator{}, Dir: dir}).Run(context.Background(), a); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, a.Key()+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, b.Key()+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRecording(dir, b.Key()); err == nil || os.IsNotExist(err) {
+		t.Fatalf("misfiled recording read back with err = %v", err)
+	}
+	if _, err := (&Replayer{Dir: dir}).Run(context.Background(), b); err == nil {
+		t.Fatal("replayer served a misfiled recording")
+	}
+}

@@ -52,7 +52,12 @@ func stageRecording(dir string, rec *Recording) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	// Sync before the caller renames: otherwise a crash can leave the
+	// final name pointing at a file whose data never reached the disk.
+	if _, err := tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return "", err
@@ -66,7 +71,9 @@ func stageRecording(dir string, rec *Recording) (string, error) {
 
 // ReadRecording loads the recording for key from dir. A missing file is
 // reported with os.IsNotExist-compatible wrapping so callers can distinguish
-// "never recorded" from a corrupt or unreadable file.
+// "never recorded" from a corrupt or unreadable file. A file that records
+// another key — copied or renamed into place — is rejected as corrupt, so
+// it can never answer for a trial it did not measure.
 func ReadRecording(dir, key string) (*Recording, error) {
 	data, err := os.ReadFile(filepath.Join(dir, key+".json"))
 	if err != nil {
@@ -74,7 +81,10 @@ func ReadRecording(dir, key string) (*Recording, error) {
 	}
 	var rec Recording
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("platform: corrupt recording %s: %w", key[:12], err)
+		return nil, fmt.Errorf("platform: corrupt recording %.12s: %w", key, err)
+	}
+	if rec.Key != key {
+		return nil, fmt.Errorf("platform: corrupt recording %.12s: it records key %.12s", key, rec.Key)
 	}
 	return &rec, nil
 }

@@ -420,6 +420,52 @@ func TestPersistenceSurvivesCorruptRecording(t *testing.T) {
 	}
 }
 
+// TestPersistenceRejectsMisfiledRecording: a recording copied under
+// another key's name is counted as a disk error, re-simulated, and
+// rewritten, never served for the wrong trial.
+func TestPersistenceRejectsMisfiledRecording(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	a, b := testRunSpec(t, 1), testRunSpec(t, 2)
+	if _, err := NewWithOptions(newCountingBackend(0), Options{Dir: dir}).Run(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, a.Key()+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, b.Key()+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	backend := newCountingBackend(0)
+	cache := NewWithOptions(backend, Options{Dir: dir})
+	got, err := cache.Run(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := backend.callsFor(b.Key()); n != 1 {
+		t.Fatalf("backend ran %d times for a misfiled recording, want 1", n)
+	}
+	if s := cache.Stats(); s.DiskErrs != 1 || s.DiskHits != 0 {
+		t.Fatalf("misfiled recording not counted as a disk error: %+v", s)
+	}
+	want, err := platform.Simulator{}.Run(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("misfiled recording's result was served")
+	}
+	// The rewrite repaired the file: a fresh cache now warm-starts from it.
+	fresh := NewWithOptions(newCountingBackend(0), Options{Dir: dir})
+	if _, err := fresh.Run(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	if s := fresh.Stats(); s.DiskHits != 1 || s.DiskErrs != 0 || s.Misses != 0 {
+		t.Fatalf("repaired recording did not warm-start: %+v", s)
+	}
+}
+
 // TestDeltaClampsAcrossCacheLifetimes: a `before` snapshot from a bigger
 // (different or pre-restart) cache must clamp to zero, not wrap uint64.
 func TestDeltaClampsAcrossCacheLifetimes(t *testing.T) {

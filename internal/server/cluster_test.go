@@ -267,6 +267,20 @@ func TestInternalRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestInternalRunShortKey: the forwarded key is outside input, so one too
+// short to abbreviate must still get a 409, not crash the handler.
+func TestInternalRunShortKey(t *testing.T) {
+	urls, _, sims := startCluster(t, 1, Options{})
+	body, _ := json.Marshal(peering.NewForwardRequest(internalSpec(t, 7), "abc"))
+	resp, data := post(t, urls[0]+peering.InternalRunPath, string(body))
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("short key: HTTP %d, want 409: %s", resp.StatusCode, data)
+	}
+	if sims.Load() != 0 {
+		t.Fatal("a mismatched key ran a simulation")
+	}
+}
+
 // TestInternalRunDisabledWithoutPeering: a single-node server must not
 // accept forwarded runs — the endpoint is part of the fleet contract, not
 // the public surface.

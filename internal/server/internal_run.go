@@ -26,9 +26,11 @@ import (
 //     node's queue as well would double-count capacity and can deadlock a
 //     saturated fleet whose nodes forward to each other in a cycle.
 //
-// The rebuilt spec must hash to the forwarder's key; a mismatch means the
-// two nodes run divergent workload catalogs and is rejected with 409
-// key_mismatch rather than silently measuring something else.
+// The rebuilt spec must hash to the forwarder's key. Checking it costs a
+// recipe hash, not a workload generation. A mismatch means the two nodes
+// run different generator or model revisions, or rebuilt a divergent
+// spec, and is rejected with 409 key_mismatch rather than silently
+// measuring something else.
 func (s *Server) handleInternalRun(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
 		writeError(w, http.StatusNotFound, CodeNotFound, "peering is not configured on this node")
@@ -50,7 +52,7 @@ func (s *Server) handleInternalRun(w http.ResponseWriter, r *http.Request) {
 	if key := spec.Key(); key != req.Key {
 		writeErrorDetails(w, http.StatusConflict, CodeKeyMismatch,
 			map[string]any{"forwarded": req.Key, "rebuilt": key},
-			"rebuilt spec hashes to %s, forwarder sent %s: nodes run divergent catalogs", key[:12], req.Key[:12])
+			"rebuilt spec hashes to %.12s, forwarder sent %.12s: nodes run divergent model or generator revisions", key, req.Key)
 		return
 	}
 	s.fleet.MarkServed()

@@ -464,17 +464,16 @@ var catalog = map[string]func(ranks int, scale float64) *Workload{
 	"multitenant":    Multitenant,
 }
 
-// Catalog returns the named workload at the given rank count and scale.
-// Recognised names match the paper's labels.
+// Catalog returns the named workload at the given rank count and scale,
+// generated. Recognised names match the paper's labels. It is Defer
+// followed by Load, so the workload keeps its recipe.
 func Catalog(name string, ranks int, scale float64) (*Workload, error) {
-	gen, ok := catalog[name]
-	if !ok {
-		if near := Nearest(name); near != "" {
-			return nil, fmt.Errorf("workload: %w %q (closest known family: %q)", ErrUnknown, name, near)
-		}
-		return nil, fmt.Errorf("workload: %w %q", ErrUnknown, name)
+	w, err := Defer(name, ranks, scale)
+	if err != nil {
+		return nil, err
 	}
-	return gen(ranks, scale), nil
+	w.Load()
+	return w, nil
 }
 
 // Nearest returns the catalog name closest to name by case-insensitive edit

@@ -78,6 +78,10 @@ type Workload struct {
 	ComputePerOp float64
 	// Scale records the applied scale factor for documentation.
 	Scale float64
+
+	// lazy is set on catalog workloads (see Defer); it is a pointer so a
+	// struct copy does not copy the sync.Once.
+	lazy *deferred
 }
 
 // NumRanks returns the number of MPI processes.
