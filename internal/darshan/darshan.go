@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"stellar/internal/lustre"
 	"stellar/internal/workload"
@@ -129,19 +130,24 @@ type Log struct {
 // Collector implements lustre.TraceSink, aggregating events into records.
 type Collector struct {
 	iface   string
-	records map[string]*Record // key module|file
+	records map[recordKey]*Record
 	maxEnd  float64
+}
+
+type recordKey struct {
+	module string
+	file   int32
 }
 
 // NewCollector creates a collector for a workload using the given I/O
 // interface ("POSIX" or "MPI-IO"). MPI-IO applications produce both MPI-IO
 // and POSIX records, as the real library layers do.
 func NewCollector(iface string) *Collector {
-	return &Collector{iface: iface, records: make(map[string]*Record)}
+	return &Collector{iface: iface, records: make(map[recordKey]*Record)}
 }
 
 func (c *Collector) rec(module string, file int32) *Record {
-	k := fmt.Sprintf("%s|%d", module, file)
+	k := recordKey{module, file}
 	r, ok := c.records[k]
 	if !ok {
 		r = &Record{
@@ -162,56 +168,57 @@ func (c *Collector) Record(ev lustre.Event) {
 	if ev.Op == workload.OpBarrier {
 		return
 	}
-	mods := []string{"POSIX"}
 	if c.iface == "MPI-IO" {
-		mods = []string{"MPI-IO", "POSIX"}
+		c.rec("MPI-IO", ev.File).add(ev)
 	}
+	c.rec("POSIX", ev.File).add(ev)
+}
+
+// add folds one event into a record.
+func (r *Record) add(ev lustre.Event) {
 	dur := ev.End - ev.Start
-	for _, m := range mods {
-		r := c.rec(m, ev.File)
-		r.rankSet[ev.Rank] = true
-		r.rankTime[ev.Rank] += dur
-		switch ev.Op {
-		case workload.OpRead:
-			r.Reads++
-			r.BytesRead += ev.Size
-			r.ReadTime += dur
-			r.ReadSizeBuckets[sizeBucket(ev.Size)]++
-			if ev.Sequential {
-				r.SeqReads++
-			}
-			if ev.CacheHit {
-				r.CacheHitReads++
-			}
-			if end := ev.Offset + ev.Size; end > r.MaxByteRead {
-				r.MaxByteRead = end
-			}
-		case workload.OpWrite:
-			r.Writes++
-			r.BytesWritten += ev.Size
-			r.WriteTime += dur
-			r.WriteSizeBuckets[sizeBucket(ev.Size)]++
-			if ev.Sequential {
-				r.SeqWrites++
-			}
-			if end := ev.Offset + ev.Size; end > r.MaxByteWritten {
-				r.MaxByteWritten = end
-			}
-		case workload.OpOpen, workload.OpCreate:
-			r.Opens++
-			r.MetaTime += dur
-		case workload.OpStat:
-			r.Stats++
-			r.MetaTime += dur
-		case workload.OpFsync:
-			r.Fsyncs++
-			r.MetaTime += dur
-		case workload.OpUnlink:
-			r.Unlinks++
-			r.MetaTime += dur
-		default:
-			r.MetaTime += dur
+	r.rankSet[ev.Rank] = true
+	r.rankTime[ev.Rank] += dur
+	switch ev.Op {
+	case workload.OpRead:
+		r.Reads++
+		r.BytesRead += ev.Size
+		r.ReadTime += dur
+		r.ReadSizeBuckets[sizeBucket(ev.Size)]++
+		if ev.Sequential {
+			r.SeqReads++
 		}
+		if ev.CacheHit {
+			r.CacheHitReads++
+		}
+		if end := ev.Offset + ev.Size; end > r.MaxByteRead {
+			r.MaxByteRead = end
+		}
+	case workload.OpWrite:
+		r.Writes++
+		r.BytesWritten += ev.Size
+		r.WriteTime += dur
+		r.WriteSizeBuckets[sizeBucket(ev.Size)]++
+		if ev.Sequential {
+			r.SeqWrites++
+		}
+		if end := ev.Offset + ev.Size; end > r.MaxByteWritten {
+			r.MaxByteWritten = end
+		}
+	case workload.OpOpen, workload.OpCreate:
+		r.Opens++
+		r.MetaTime += dur
+	case workload.OpStat:
+		r.Stats++
+		r.MetaTime += dur
+	case workload.OpFsync:
+		r.Fsyncs++
+		r.MetaTime += dur
+	case workload.OpUnlink:
+		r.Unlinks++
+		r.MetaTime += dur
+	default:
+		r.MetaTime += dur
 	}
 }
 
@@ -221,13 +228,20 @@ func (c *Collector) Log(jobID, exe string, nprocs int) *Log {
 		JobID: jobID, Exe: exe, NProcs: nprocs,
 		RunTime: c.maxEnd, Interface: c.iface,
 	}}
-	keys := make([]string, 0, len(c.records))
-	for k := range c.records {
-		keys = append(keys, k)
+	// Records sort by their "module|<decimal id>" strings, so file 10
+	// precedes file 2: rendered frames and analysis reports follow this
+	// order.
+	type keyed struct {
+		key string
+		rec *Record
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		l.Records = append(l.Records, c.records[k])
+	recs := make([]keyed, 0, len(c.records))
+	for k, r := range c.records {
+		recs = append(recs, keyed{k.module + "|" + strconv.Itoa(int(k.file)), r})
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
+	for _, kr := range recs {
+		l.Records = append(l.Records, kr.rec)
 	}
 	return l
 }

@@ -2,7 +2,7 @@ package darshan
 
 import (
 	"context"
-
+	"fmt"
 	"strings"
 	"testing"
 
@@ -142,5 +142,30 @@ func TestRankTimeStatistics(t *testing.T) {
 	}
 	if posix.VarianceRankTime() < 0 {
 		t.Fatal("negative variance")
+	}
+}
+
+// TestCollectorRecordOrder pins the order Log emits records in: the
+// lexicographic order of "module|<decimal file id>" strings, which the
+// rendered frames, header text and analysis reports inherit. Records are
+// keyed by (module, file) while collecting, so the order is rebuilt in Log.
+// The test also pins that folding an event into a record that already
+// holds the event's rank allocates nothing.
+func TestCollectorRecordOrder(t *testing.T) {
+	col := NewCollector("MPI-IO")
+	for _, f := range []int32{2, 10, 100, 11} {
+		col.Record(lustre.Event{Rank: 1, Op: workload.OpWrite, File: f, Size: 4096, End: 1})
+	}
+	var got []string
+	for _, r := range col.Log("1", "order", 2).Records {
+		got = append(got, fmt.Sprintf("%s|%d", r.Module, r.FileID))
+	}
+	want := []string{"MPI-IO|10", "MPI-IO|100", "MPI-IO|11", "MPI-IO|2", "POSIX|10", "POSIX|100", "POSIX|11", "POSIX|2"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("record order %v, want %v", got, want)
+	}
+	ev := lustre.Event{Rank: 1, Op: workload.OpRead, File: 10, Size: 4096, Start: 1, End: 2, Sequential: true}
+	if allocs := testing.AllocsPerRun(100, func() { col.Record(ev) }); allocs != 0 {
+		t.Fatalf("Record allocates %.1f times per event for a recorded (file, rank); want 0", allocs)
 	}
 }

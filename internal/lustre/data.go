@@ -86,7 +86,7 @@ func (r *runner) mediaTime(size int64, write bool) float64 {
 
 func (r *runner) doWrite(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	if !f.created {
 		// Writing through an unopened file is a workload bug in real life;
 		// adopt the file with current layout to stay robust.
@@ -105,8 +105,9 @@ func (r *runner) doWrite(rank int, op workload.Op) {
 	r.evictOthers(f, op.File, node)
 	r.metaInsert(node, op.File)
 	rs := &r.rankSt[rank]
-	rs.seq = op.Offset == f.raState[rank].lastEnd
-	f.raState[rank].lastEnd = op.Offset + op.Size
+	ra := r.ra.get(op.File, rank)
+	rs.seq = op.Offset == ra.lastEnd
+	ra.lastEnd = op.Offset + op.Size
 
 	r.res.BytesWritten += op.Size
 	rs.wOff, rs.wRem = op.Offset, op.Size
@@ -155,10 +156,10 @@ func (r *runner) admitWrite(rank int) {
 	rs := &r.rankSt[rank]
 	op := r.w.Ranks[rank][rs.i]
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	for rs.wRem > 0 {
 		c := r.chunkAt(f, rs.wOff, rs.wRem)
-		osc := r.osc[node][c.ost]
+		osc := r.oscOf(node, c.ost)
 		if osc.dirty >= r.cfg.dirtyBytes {
 			osc.dirtyWaiters.push(int32(rank))
 			return
@@ -178,7 +179,7 @@ func (r *runner) admitWrite(rank int) {
 // into the RPC window. A staged group keeps growing until its window grant
 // fires (rpcStep's rsAdmitWrite pops it).
 func (r *runner) stageChunk(node int, file int32, c chunk) {
-	osc := r.osc[node][c.ost]
+	osc := r.oscOf(node, c.ost)
 	if g := osc.groups.tail(); g != nil && g.file == file && g.ost == c.ost &&
 		g.off+g.size == c.off && g.size+c.size <= r.cfg.rpcBytes {
 		g.size += c.size
@@ -199,31 +200,20 @@ func (r *runner) wakeDirtyWaiters(osc *oscState) {
 	}
 }
 
-// wakeFlushWaiters releases every rank parked in fsync on f, reusing the
-// waiter slice's backing array.
+// wakeFlushWaiters releases every rank parked in fsync on f, in park order.
 func (r *runner) wakeFlushWaiters(f *fileState) {
-	ws := f.flushWaiters
-	f.flushWaiters = ws[:0]
-	for _, rk := range ws {
-		r.eng.After(0, r.sc.ranks[rk].done)
-	}
-}
-
-func (r *runner) wakeQuiesced(f *fileState) {
-	ws := f.quietWaiters
-	f.quietWaiters = ws[:0]
-	for _, rk := range ws {
+	for rk := r.unpark(&f.flushWaiters); rk >= 0; rk = r.unpark(&f.flushWaiters) {
 		r.eng.After(0, r.sc.ranks[rk].done)
 	}
 }
 
 func (r *runner) doFsync(rank int, op workload.Op) {
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	if f.pendingFlush == 0 {
 		r.opDone(rank)
 		return
 	}
-	f.flushWaiters = append(f.flushWaiters, int32(rank))
+	r.park(&f.flushWaiters, rank)
 }
 
 // ----------------------------------------------------------------------
@@ -232,12 +222,12 @@ func (r *runner) doFsync(rank int, op workload.Op) {
 
 func (r *runner) doRead(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	if !f.created {
 		r.assignLayout(f, op.File)
 	}
 	r.res.BytesRead += op.Size
-	ra := &f.raState[rank]
+	ra := r.ra.get(op.File, rank)
 	seq := op.Offset == ra.lastEnd
 	if seq {
 		ra.streak++
@@ -265,17 +255,19 @@ func (r *runner) doRead(rank int, op workload.Op) {
 	// Served entirely by completed readahead?
 	if seq && end <= ra.doneTo {
 		r.res.RAHits++
-		r.maybeReadahead(rank, node, op.File, f, end)
+		r.maybeReadahead(rank, node, op.File, f, ra, end)
 		r.finishOp(rank, memcpy*r.jitter(), true, seq)
 		return
 	}
-	// Covered by in-flight readahead: park the read until it lands.
+	// Covered by in-flight readahead: park the read until it lands. Only
+	// the stream's own rank reads through it, one op at a time, so a
+	// stream has at most one parked read.
 	if seq && end <= ra.issuedTo {
 		q := r.sc.newReq()
 		req := &r.sc.reqs[q]
 		req.rank, req.node, req.file = int32(rank), int32(node), op.File
 		req.end, req.memcpy, req.seq = end, memcpy, seq
-		ra.waiters = append(ra.waiters, raWaiter{need: end, req: q})
+		ra.waiter = q + 1
 		return
 	}
 	// Synchronous fetch of the uncovered chunks.
@@ -291,15 +283,15 @@ func (r *runner) doRead(rank int, op workload.Op) {
 		o.state, o.kind = rsAdmitRead, rcRead
 		o.node, o.ost, o.file = int32(node), int32(c.ost), op.File
 		o.off, o.size, o.req = c.off, c.size, q
-		r.osc[node][c.ost].window.Enter(o.cont)
+		r.oscOf(node, c.ost).window.Enter(o.cont)
 	}
 }
 
-// maybeReadahead issues asynchronous prefetch after a sequential streak, up
-// to the per-file window and the node's global budget. It also models the
-// cost of misguided readahead on random access patterns.
-func (r *runner) maybeReadahead(rank, node int, file int32, f *fileState, pos int64) {
-	ra := &f.raState[rank]
+// maybeReadahead issues asynchronous prefetch for rank's stream ra over
+// file after a sequential streak, up to the per-file window and the node's
+// global budget. It also models the cost of misguided readahead on random
+// access patterns.
+func (r *runner) maybeReadahead(rank, node int, file int32, f *fileState, ra *raState, pos int64) {
 	if r.cfg.raFileBytes == 0 {
 		return
 	}
@@ -320,7 +312,7 @@ func (r *runner) maybeReadahead(rank, node int, file int32, f *fileState, pos in
 				o.state, o.kind = rsAdmitRead, rcRAProbe
 				o.node, o.ost, o.file = int32(node), int32(ost), file
 				o.off, o.size = pos, waste
-				r.osc[node][ost].window.Enter(o.cont)
+				r.oscOf(node, ost).window.Enter(o.cont)
 			}
 		}
 		return
@@ -359,21 +351,15 @@ func (r *runner) maybeReadahead(rank, node int, file int32, f *fileState, pos in
 			o.state, o.kind = rsAdmitRead, rcRA
 			o.node, o.ost, o.file, o.rank = int32(node), int32(c.ost), file, int32(rank)
 			o.off, o.size = c.off, c.size
-			r.osc[node][c.ost].window.Enter(o.cont)
+			r.oscOf(node, c.ost).window.Enter(o.cont)
 		}
 	}
 }
 
-// wakeRAWaiters releases every parked read whose range completed, compacting
-// the waiter slice in place over its existing backing array.
-func (r *runner) wakeRAWaiters(ra *raState) {
-	keep := ra.waiters[:0]
-	for _, w := range ra.waiters {
-		if w.need <= ra.doneTo {
-			r.eng.After(0, r.sc.reqs[w.req].cont)
-		} else {
-			keep = append(keep, w)
-		}
+// wakeRAWaiter releases the stream's parked read once its range completed.
+func (r *runner) wakeRAWaiter(ra *raState) {
+	if ra.waiter != 0 && r.sc.reqs[ra.waiter-1].end <= ra.doneTo {
+		r.eng.After(0, r.sc.reqs[ra.waiter-1].cont)
+		ra.waiter = 0
 	}
-	ra.waiters = keep
 }

@@ -1,116 +1,168 @@
 package lustre
 
-import (
-	"container/list"
-
-	"stellar/internal/workload"
-)
+import "stellar/internal/workload"
 
 // ----------------------------------------------------------------------
 // Client-side caches.
 // ----------------------------------------------------------------------
 
+// lruList is an intrusive recency list over a run's dense file ids: links[f]
+// holds file f's neighbours and membership, so a lookup is an index and a
+// move is a few int32 stores. The arrays belong to the pooled scratch and
+// are reused, cleared, by every run.
+type lruList struct {
+	links      []lruLink
+	head, tail int32 // most and least recently used; -1 when empty
+	n          int
+}
+
+type lruLink struct {
+	prev, next int32 // toward head and toward tail; -1 at the ends
+	in         bool
+}
+
+// reset empties the list and sizes it for file ids [0, files).
+func (l *lruList) reset(files int) {
+	l.links = resize(l.links, files)
+	clear(l.links)
+	l.head, l.tail, l.n = -1, -1, 0
+}
+
+//stellar:hotpath
+func (l *lruList) has(f int32) bool { return l.links[f].in }
+
+//stellar:hotpath
+func (l *lruList) pushFront(f int32) {
+	l.links[f] = lruLink{prev: -1, next: l.head, in: true}
+	if l.head >= 0 {
+		l.links[l.head].prev = f
+	} else {
+		l.tail = f
+	}
+	l.head = f
+	l.n++
+}
+
+//stellar:hotpath
+func (l *lruList) remove(f int32) {
+	lk := l.links[f]
+	if lk.prev >= 0 {
+		l.links[lk.prev].next = lk.next
+	} else {
+		l.head = lk.next
+	}
+	if lk.next >= 0 {
+		l.links[lk.next].prev = lk.prev
+	} else {
+		l.tail = lk.prev
+	}
+	l.links[f] = lruLink{}
+	l.n--
+}
+
+//stellar:hotpath
+func (l *lruList) moveToFront(f int32) {
+	if l.head != f {
+		l.remove(f)
+		l.pushFront(f)
+	}
+}
+
 // metaCache models the per-node DLM lock / attribute cache: files present
 // here can be stat'ed and opened without a server round trip. Statahead
 // prefetch populates it; unlink evicts. Capacity is ldlm.lru_size entries.
 type metaCache struct {
-	cap      int
-	lru      *list.List // front = most recent; values are int32 file ids
-	entries  map[int32]*list.Element
-	inflight map[int32][]int32 // statahead fetches in progress; waiting ranks
+	cap int
+	lru lruList
+	// fetch[f] is file f's statahead fetch, if one is in flight, with the
+	// ranks parked on it; inflight counts the fetches.
+	fetch    []saFetch
+	inflight int
 }
 
-func newMetaCache(capacity int) *metaCache {
-	return &metaCache{
-		cap:      capacity,
-		lru:      list.New(),
-		entries:  make(map[int32]*list.Element),
-		inflight: make(map[int32][]int32),
-	}
+type saFetch struct {
+	on      bool
+	waiters rankQueue
+}
+
+func (m *metaCache) reset(files, capacity int) {
+	m.cap = capacity
+	m.lru.reset(files)
+	m.fetch = resize(m.fetch, files)
+	clear(m.fetch)
+	m.inflight = 0
 }
 
 //stellar:hotpath
 func (m *metaCache) contains(f int32) bool {
-	e, ok := m.entries[f]
+	ok := m.lru.has(f)
 	if ok {
-		m.lru.MoveToFront(e)
+		m.lru.moveToFront(f)
 	}
 	return ok
 }
 
+//stellar:hotpath
 func (m *metaCache) insert(f int32) {
-	if e, ok := m.entries[f]; ok {
-		m.lru.MoveToFront(e)
+	if m.lru.has(f) {
+		m.lru.moveToFront(f)
 		return
 	}
-	m.entries[f] = m.lru.PushFront(f)
-	for m.lru.Len() > m.cap {
-		back := m.lru.Back()
-		m.lru.Remove(back)
-		delete(m.entries, back.Value.(int32))
+	m.lru.pushFront(f)
+	for m.lru.n > m.cap {
+		m.lru.remove(m.lru.tail)
 	}
 }
 
+//stellar:hotpath
 func (m *metaCache) evict(f int32) {
-	if e, ok := m.entries[f]; ok {
-		m.lru.Remove(e)
-		delete(m.entries, f)
+	if m.lru.has(f) {
+		m.lru.remove(f)
 	}
 }
 
 // pageCache tracks which files a node holds clean data for, bounded by
 // llite.max_cached_mb. Sizes are approximate (whole-file granularity).
 type pageCache struct {
-	cap     int64
-	total   int64
-	sizes   map[int32]int64
-	lru     *list.List
-	entries map[int32]*list.Element
+	cap   int64
+	total int64
+	lru   lruList
+	sizes []int64 // bytes cached per file; 0 when not cached
 }
 
-func newPageCache(capacity int64) *pageCache {
-	return &pageCache{
-		cap:     capacity,
-		sizes:   make(map[int32]int64),
-		lru:     list.New(),
-		entries: make(map[int32]*list.Element),
+func (p *pageCache) reset(files int, capacity int64) {
+	p.cap, p.total = capacity, 0
+	p.lru.reset(files)
+	p.sizes = resize(p.sizes, files)
+	clear(p.sizes)
+}
+
+//stellar:hotpath
+func (p *pageCache) contains(f int32) bool { return p.lru.has(f) }
+
+// touch records extra bytes cached for f and refreshes recency, evicting
+// least-recently-used files beyond capacity.
+//
+//stellar:hotpath
+func (p *pageCache) touch(f int32, addBytes int64) {
+	if p.lru.has(f) {
+		p.lru.moveToFront(f)
+	} else {
+		p.lru.pushFront(f)
+	}
+	p.sizes[f] += addBytes
+	p.total += addBytes
+	for p.total > p.cap && p.lru.n > 1 {
+		p.drop(p.lru.tail)
 	}
 }
 
 //stellar:hotpath
-func (p *pageCache) contains(f int32) bool {
-	_, ok := p.sizes[f]
-	return ok
-}
-
-// touch records extra bytes cached for f and refreshes recency, evicting
-// least-recently-used files beyond capacity.
-func (p *pageCache) touch(f int32, addBytes int64) {
-	if e, ok := p.entries[f]; ok {
-		p.lru.MoveToFront(e)
-		p.sizes[f] += addBytes
-		p.total += addBytes
-	} else {
-		p.entries[f] = p.lru.PushFront(f)
-		p.sizes[f] = addBytes
-		p.total += addBytes
-	}
-	for p.total > p.cap && p.lru.Len() > 1 {
-		back := p.lru.Back()
-		id := back.Value.(int32)
-		p.total -= p.sizes[id]
-		delete(p.sizes, id)
-		delete(p.entries, id)
-		p.lru.Remove(back)
-	}
-}
-
 func (p *pageCache) drop(f int32) {
-	if e, ok := p.entries[f]; ok {
+	if p.lru.has(f) {
 		p.total -= p.sizes[f]
-		delete(p.sizes, f)
-		delete(p.entries, f)
-		p.lru.Remove(e)
+		p.sizes[f] = 0
+		p.lru.remove(f)
 	}
 }
 
@@ -158,7 +210,7 @@ const (
 
 func (r *runner) doCreate(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	r.assignLayout(f, op.File)
 	f.size = 0
 	for n := range f.contigTo {
@@ -176,16 +228,16 @@ func (r *runner) doCreate(rank int, op workload.Op) {
 
 func (r *runner) doOpen(rank int, op workload.Op) {
 	node := r.node(rank)
-	mc := r.metaCache[node]
+	mc := &r.metaCache[node]
 	if mc.contains(op.File) {
 		r.res.StatHits++
 		r.finishOp(rank, localHitTime*r.jitter(), true, false)
 		return
 	}
-	if ws, ok := mc.inflight[op.File]; ok {
+	if fe := &mc.fetch[op.File]; fe.on {
 		// Parked on the in-flight statahead fetch; the wake counts the hit.
 		r.rankSt[rank].hit = true
-		mc.inflight[op.File] = append(ws, int32(rank))
+		r.park(&fe.waiters, rank)
 		return
 	}
 	r.metaRPC(node, gateStat, -1, 0, r.spec.MDSOpenTime, mcInsert, op.File, rank)
@@ -193,16 +245,16 @@ func (r *runner) doOpen(rank int, op workload.Op) {
 
 func (r *runner) doStat(rank int, op workload.Op) {
 	node := r.node(rank)
-	mc := r.metaCache[node]
+	mc := &r.metaCache[node]
 	r.triggerStatahead(rank, node, op)
 	if mc.contains(op.File) {
 		r.res.StatHits++
 		r.finishOp(rank, localHitTime*r.jitter(), true, false)
 		return
 	}
-	if ws, ok := mc.inflight[op.File]; ok {
+	if fe := &mc.fetch[op.File]; fe.on {
 		r.rankSt[rank].hit = true
-		mc.inflight[op.File] = append(ws, int32(rank))
+		r.park(&fe.waiters, rank)
 		return
 	}
 	r.metaRPC(node, gateStat, -1, 0, r.spec.MDSStatTime, mcInsert, op.File, rank)
@@ -234,35 +286,32 @@ func (r *runner) triggerStatahead(rank, node int, op workload.Op) {
 		return
 	}
 	entries := r.dirFiles[op.Dir]
-	mc := r.metaCache[node]
+	mc := &r.metaCache[node]
 	limit := int(op.Index) + 1 + r.cfg.statahead
 	if limit > len(entries) {
 		limit = len(entries)
 	}
-	inflight := len(mc.inflight)
 	for i := int(op.Index) + 1; i < limit; i++ {
-		if inflight >= r.cfg.statahead {
+		if mc.inflight >= r.cfg.statahead {
 			break
 		}
 		fid := entries[i]
 		if mc.contains(fid) {
 			continue
 		}
-		if _, ok := mc.inflight[fid]; ok {
+		if mc.fetch[fid].on {
 			continue
 		}
-		mc.inflight[fid] = nil
-		inflight++
+		mc.fetch[fid].on = true
+		mc.inflight++
 		r.metaRPC(node, gateStat, -1, 0, r.spec.MDSStatTime, mcStatahead, fid, -1)
 	}
 }
 
 func (r *runner) doClose(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
 	// Lustre sends MDS_CLOSE asynchronously: the application continues
 	// immediately while the close RPC occupies the modifying-RPC window.
-	f.pendingClose++
 	r.metaRPC(node, gateMod, -1, 0, r.spec.MDSCloseTime, mcClose, op.File, -1)
 	r.finishOp(rank, localHitTime*r.jitter(), false, false)
 }
@@ -271,7 +320,7 @@ func (r *runner) doUnlink(rank int, op workload.Op) {
 	// Lustre permits unlinking files with outstanding opens or dirty data;
 	// object destruction happens server-side at last close.
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	svc := r.spec.MDSUnlinkTime + r.spec.MDSPerStripeCost*float64(max(f.stripeCount-1, 0))
 	serial := svc * r.spec.DirLockSerial
 	r.metaRPC(node, gateMod, op.Dir, serial, svc-serial, mcUnlink, op.File, rank)

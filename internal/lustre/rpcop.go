@@ -127,6 +127,12 @@ type fifo[T any] struct {
 
 func (f *fifo[T]) len() int { return f.n }
 
+// reset empties the FIFO, keeping its buffer.
+func (f *fifo[T]) reset() {
+	clear(f.buf)
+	f.head, f.n = 0, 0
+}
+
 func (f *fifo[T]) push(v T) {
 	if f.n == len(f.buf) {
 		f.grow()
@@ -187,6 +193,8 @@ type scratch struct {
 
 	ranks  []rankConts
 	chunks []chunk
+
+	model modelState
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{eng: sim.NewEngine()} }}
@@ -314,7 +322,7 @@ func (r *runner) rpcStep(i int32) {
 		// The OSC window grants FIFO in Enter order and groups stage in the
 		// same order, so this grant's group is always the ring head. The
 		// group kept coalescing until this instant; send its final extent.
-		osc := r.osc[op.node][op.ost]
+		osc := r.oscOf(int(op.node), int(op.ost))
 		g := osc.groups.pop()
 		op.file, op.off, op.size = g.file, g.off, g.size
 		r.startRPC(op)
@@ -337,7 +345,7 @@ func (r *runner) rpcStep(i int32) {
 				return
 			}
 		}
-		op.setup = r.setupService(r.files[op.file], chunk{ost: int(op.ost), off: op.off, size: op.size})
+		op.setup = r.setupService(&r.files[op.file], chunk{ost: int(op.ost), off: op.off, size: op.size})
 		op.state = rsSetup
 		r.ostThreads[op.ost].Acquire(op.cont)
 	case rsSetup:
@@ -383,26 +391,23 @@ func (r *runner) completeRPC(i int32) {
 	off, size := op.off, op.size
 	r.sc.freeRPC(i)
 
-	osc := r.osc[node][ost]
+	osc := r.oscOf(node, ost)
 	switch kind {
 	case rcWrite:
 		osc.window.Leave()
 		osc.dirty -= size
 		r.wakeDirtyWaiters(osc)
-		f := r.files[file]
+		f := &r.files[file]
 		f.pendingFlush -= size
 		if f.pendingFlush == 0 {
 			r.wakeFlushWaiters(f)
-			if f.pendingClose == 0 {
-				r.wakeQuiesced(f)
-			}
 		}
 	case rcRead:
 		osc.window.Leave()
 		req := &r.sc.reqs[reqIdx]
 		req.remaining--
 		if req.remaining == 0 {
-			ra := &r.files[req.file].raState[req.rank]
+			ra := r.ra.get(req.file, int(req.rank))
 			if req.seq && req.end > ra.doneTo && ra.issuedTo <= req.end {
 				ra.doneTo, ra.issuedTo = req.end, req.end
 			}
@@ -411,11 +416,11 @@ func (r *runner) completeRPC(i int32) {
 	case rcRA:
 		osc.window.Leave()
 		r.raBudget[node] -= size
-		ra := &r.files[file].raState[rank]
+		ra := r.ra.get(file, rank)
 		if off+size > ra.doneTo {
 			ra.doneTo = off + size
 		}
-		r.wakeRAWaiters(ra)
+		r.wakeRAWaiter(ra)
 	case rcRAProbe:
 		osc.window.Leave()
 		r.raBudget[node] -= size
@@ -431,8 +436,7 @@ func (r *runner) finishRead(q int32, hit bool) {
 	file, end := req.file, req.end
 	memcpy, seq := req.memcpy, req.seq
 	r.sc.freeReq(q)
-	f := r.files[file]
-	r.maybeReadahead(rank, node, file, f, end)
+	r.maybeReadahead(rank, node, file, &r.files[file], r.ra.get(file, rank), end)
 	r.finishOp(rank, memcpy*r.jitter(), hit, seq)
 }
 
@@ -500,13 +504,9 @@ func (r *runner) completeMeta(i int32) {
 		r.metaInsert(node, file)
 		r.opDone(rank)
 	case mcClose:
-		f := r.files[file]
-		f.pendingClose--
-		if f.pendingClose == 0 && f.pendingFlush == 0 {
-			r.wakeQuiesced(f)
-		}
+		// The asynchronous close retired; nothing waits on it.
 	case mcUnlink:
-		f := r.files[file]
+		f := &r.files[file]
 		for n := 0; n < r.spec.ClientNodes; n++ {
 			r.metaCache[n].evict(file)
 			r.pageCache[n].drop(file)
@@ -515,12 +515,13 @@ func (r *runner) completeMeta(i int32) {
 		f.created = false
 		r.opDone(rank)
 	case mcStatahead:
-		mc := r.metaCache[node]
+		mc := &r.metaCache[node]
 		r.metaInsert(node, file)
-		ws := mc.inflight[file]
-		delete(mc.inflight, file)
-		for _, rk := range ws {
+		fe := &mc.fetch[file]
+		for rk := r.unpark(&fe.waiters); rk >= 0; rk = r.unpark(&fe.waiters) {
 			r.eng.After(localHitTime, r.sc.ranks[rk].stat)
 		}
+		fe.on = false
+		mc.inflight--
 	}
 }

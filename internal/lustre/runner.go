@@ -41,25 +41,14 @@ type runner struct {
 	mds        *sim.Resource
 	dirLock    []*sim.Resource
 
-	osc       [][]*oscState // [node][ost]
-	mdc       []*sim.Gate   // per node, non-modifying metadata window
-	mdcMod    []*sim.Gate   // per node, modifying metadata window
-	metaCache []*metaCache  // per node lock/attribute cache
-	pageCache []*pageCache  // per node clean data cache
-	raBudget  []int64       // per node outstanding readahead bytes
+	mdc      []*sim.Gate // per node, non-modifying metadata window
+	mdcMod   []*sim.Gate // per node, modifying metadata window
+	raBudget []int64     // per node outstanding readahead bytes
 
-	files    []*fileState
-	dirFiles [][]int32 // directory -> files in entry order
+	*modelState // per-file, per-node and per-rank state, pooled in sc
 
-	// rankSt tracks each rank's position in its op program plus the
-	// in-flight op's bookkeeping. Ranks execute ops strictly sequentially,
-	// so one slot per rank suffices.
-	rankSt []rankState
-
-	barrierWaitQ []int32 // ranks parked at the current barrier
+	barrier      rankQueue // ranks parked at the current barrier
 	barrierCount int
-
-	statStreaks []statStreak // per rank
 
 	chunks []chunk // stripeChunks scratch, recycled through the pool
 
@@ -83,10 +72,8 @@ type fileState struct {
 	created     bool
 	size        int64 // high-water mark of written bytes
 
-	pendingFlush int64   // bytes queued for write-back, not yet on disk
-	pendingClose int     // asynchronous close RPCs in flight
-	flushWaiters []int32 // ranks in fsync waiting for pendingFlush == 0
-	quietWaiters []int32 // ranks waiting for flush and close completion
+	pendingFlush int64     // bytes queued for write-back, not yet on disk
+	flushWaiters rankQueue // ranks in fsync waiting for pendingFlush == 0
 
 	// holders is a superset bitset of the nodes whose metaCache may hold
 	// this file's attributes (valid while ClientNodes <= 64). LRU eviction
@@ -96,23 +83,9 @@ type fileState struct {
 	// common single-writer case O(1) instead of O(nodes).
 	holders uint64
 
+	// Both are carved from the scratch's one flat offsets array.
 	lastOff  []int64 // per OST object: last accessed offset (seek model)
 	contigTo []int64 // per node: contiguous-from-zero written bytes (page cache)
-	raState  []raState
-}
-
-type raState struct {
-	lastEnd  int64
-	streak   int
-	issuedTo int64
-	doneTo   int64
-	waiters  []raWaiter
-}
-
-// raWaiter parks a read request until readahead reaches need.
-type raWaiter struct {
-	need int64
-	req  int32 // readReq arena slot
 }
 
 // oscState models one object storage client (per client node, per OST).
@@ -156,20 +129,11 @@ func newRunner(w *workload.Workload, opts Options, cv cfgValues, sc *scratch) *r
 	r.nodeNIC = make([]*sim.Pipe, nodes)
 	r.mdc = make([]*sim.Gate, nodes)
 	r.mdcMod = make([]*sim.Gate, nodes)
-	r.metaCache = make([]*metaCache, nodes)
-	r.pageCache = make([]*pageCache, nodes)
 	r.raBudget = make([]int64, nodes)
-	r.osc = make([][]*oscState, nodes)
 	for n := 0; n < nodes; n++ {
 		r.nodeNIC[n] = sim.NewPipe(eng, "nic", spec.NICBandwidth)
 		r.mdc[n] = sim.NewGate(eng, "mdc", cv.mdcWindow)
 		r.mdcMod[n] = sim.NewGate(eng, "mdc-mod", cv.mdcModWin)
-		r.metaCache[n] = newMetaCache(cv.lruSize)
-		r.pageCache[n] = newPageCache(cv.cachedBytes)
-		r.osc[n] = make([]*oscState, spec.OSTCount)
-		for o := 0; o < spec.OSTCount; o++ {
-			r.osc[n][o] = &oscState{window: sim.NewGate(eng, "osc", cv.rpcWindow)}
-		}
 	}
 	r.ostNIC = make([]*sim.Pipe, spec.OSTCount)
 	r.ostThreads = make([]*sim.Resource, spec.OSTCount)
@@ -184,31 +148,12 @@ func newRunner(w *workload.Workload, opts Options, cv cfgValues, sc *scratch) *r
 	for d := range r.dirLock {
 		r.dirLock[d] = sim.NewResource(eng, "dir", 1)
 	}
-	r.files = make([]*fileState, len(w.Files))
-	for i := range r.files {
-		r.files[i] = &fileState{
-			lastOff:  make([]int64, spec.OSTCount),
-			contigTo: make([]int64, nodes),
-			raState:  make([]raState, w.NumRanks()),
-		}
-		for o := range r.files[i].lastOff {
-			r.files[i].lastOff[o] = -1
-		}
-	}
-	r.rankSt = make([]rankState, w.NumRanks())
-	for i := range r.rankSt {
-		r.rankSt[i].i = -1
-	}
-	r.statStreaks = make([]statStreak, w.NumRanks())
-	for i := range r.statStreaks {
-		r.statStreaks[i] = statStreak{dir: -1, last: -2}
-	}
-	r.dirFiles = make([][]int32, w.DirCount)
-	for fi, fm := range w.Files {
-		r.dirFiles[fm.Dir] = append(r.dirFiles[fm.Dir], int32(fi))
-	}
+	sc.model.reset(eng, w, spec, cv)
+	r.modelState = &sc.model
 	return r
 }
+
+func (r *runner) oscOf(node, ost int) *oscState { return &r.osc[node*r.spec.OSTCount+ost] }
 
 func (r *runner) node(rank int) int { return rank / r.spec.ProcsPerNode }
 
@@ -306,13 +251,11 @@ func (r *runner) statWake(rank int) {
 
 func (r *runner) doBarrier(rank int) {
 	r.barrierCount++
-	r.barrierWaitQ = append(r.barrierWaitQ, int32(rank))
+	r.park(&r.barrier, rank)
 	if r.barrierCount == r.w.NumRanks() {
 		r.res.BarrierTimes = append(r.res.BarrierTimes, r.eng.Now())
-		q := r.barrierWaitQ
-		r.barrierWaitQ = q[:0]
 		r.barrierCount = 0
-		for _, rk := range q {
+		for rk := r.unpark(&r.barrier); rk >= 0; rk = r.unpark(&r.barrier) {
 			r.eng.After(0, r.sc.ranks[rk].done)
 		}
 	}

@@ -180,8 +180,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// A failed write means the client is gone: cancel, so the remaining
+	// cells stop instead of running on unobserved.
 	writeLine := func(v any) {
-		enc.Encode(v)
+		if err := enc.Encode(v); err != nil {
+			cancel()
+			return
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -222,8 +222,13 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// A failed write means the client is gone: cancel, so the remaining
+	// rounds stop instead of running on unobserved.
 	writeLine := func(v any) {
-		enc.Encode(v)
+		if err := enc.Encode(v); err != nil {
+			cancel()
+			return
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
