@@ -15,8 +15,9 @@ import (
 // forbids:
 //
 //   - channel sends, receives, and selects;
-//   - pool.Queue calls (Do and DoWait park on channels; even Submit takes
-//     the queue's own lock, nesting lock orders across packages);
+//   - pool.Queue calls (DoAs and DoWaitAs park on channels; even
+//     SubmitAs takes the queue's own lock, nesting lock orders across
+//     packages);
 //   - file and network I/O (os, net, net/http, io, bufio, and the
 //     platform recording helpers, which hit the disk).
 //

@@ -3,19 +3,21 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// ErrQueueFull is returned by Submit and Do when admission fails: either the
-// shared backlog is at capacity or the submitting tenant has exhausted its
-// per-tenant quota. Callers at a serving boundary should translate it into
-// back-pressure (HTTP 429) rather than blocking request handlers on a
-// saturated queue.
+// ErrQueueFull is returned by SubmitAs and DoAs when admission fails:
+// either the shared backlog is at capacity or the submitting tenant has
+// exhausted its per-tenant quota. Callers at a serving boundary should
+// translate it into back-pressure (HTTP 429) rather than blocking request
+// handlers on a saturated queue.
 var ErrQueueFull = errors.New("pool: queue backlog full")
 
-// ErrQueueClosed is returned by Submit, Do, and DoWait after Close. It is
-// deliberately distinct from both ErrQueueFull and context cancellation:
+// ErrQueueClosed is returned by SubmitAs, DoAs, and DoWaitAs after Close.
+// It is deliberately distinct from both ErrQueueFull and context cancellation:
 // a closed queue means the service is shutting down (HTTP 503), a full one
 // means transient saturation (HTTP 429), and a dead context means this one
 // caller gave up. Callers must not collapse the three — retrying a closed
@@ -23,27 +25,56 @@ var ErrQueueFull = errors.New("pool: queue backlog full")
 // cancellation hides the outage.
 var ErrQueueClosed = errors.New("pool: queue closed")
 
-// queueTask pairs a job with the context it runs under and a completion
-// signal synchronous callers can wait on.
+// PanicError is a task's recovered panic: the worker survives and the
+// task's caller gets this error in place of the crashed process.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("pool: task panicked: %v", e.Value) }
+
+// queueTask pairs a job with the context it runs under and the channel its
+// outcome is delivered on (buffered, so the worker never blocks on it).
 type queueTask struct {
 	ctx  context.Context
 	fn   func(context.Context)
-	done chan struct{}
+	done chan error
+}
+
+// run executes the task unless its caller already gave up, and turns a
+// panic into a *PanicError. A skipped task reports its context's error.
+func (t queueTask) run() (err error) {
+	if err := t.ctx.Err(); err != nil {
+		return err
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	t.fn(t.ctx)
+	return nil
 }
 
 // Queue is the long-lived counterpart to Map: a bounded executor for jobs
 // that arrive over time rather than as one fixed fan-out. At most `workers`
-// jobs run concurrently and at most `backlog` wait; beyond that Submit
+// jobs run concurrently and at most `backlog` wait; beyond that SubmitAs
 // fails fast with ErrQueueFull so admission control happens at the edge
 // instead of by unbounded buffering. Each job carries its own context, so
 // cancelling one caller (a disconnected HTTP client) aborts only that job.
 //
-// Admission is tenant-aware: SubmitAs/DoAs/DoWaitAs tag work with a tenant
-// name, queued work is dispatched round-robin across tenants (one noisy
-// tenant cannot starve the others even when it filled the backlog first),
-// and an optional per-tenant quota caps how much of the backlog any single
-// tenant may hold. The untagged entry points use the "" tenant, so a
-// single-tenant queue behaves exactly like the pre-tenant implementation.
+// Every entry point reports the same outcome: the admission error, the
+// task's context error when that context was already dead as a worker
+// dequeued it (the task never runs), a *PanicError when the task panicked,
+// or nil. Tasks therefore need no cancellation check of their own before
+// they start, and no recover.
+//
+// Admission is tenant-aware: every entry point tags work with a tenant
+// name ("" for anonymous work), queued work is dispatched round-robin
+// across tenants (one noisy tenant cannot starve the others even when it
+// filled the backlog first), and an optional per-tenant quota caps how
+// much of the backlog any single tenant may hold.
 type Queue struct {
 	backlog int
 	quota   int // per-tenant waiting cap (== backlog when unset: no per-tenant bound)
@@ -62,18 +93,13 @@ type Queue struct {
 	running atomic.Int64
 }
 
-// NewQueue starts a queue with the given worker count (values below 1 mean
-// one worker) and backlog capacity (values below 0 mean 0: Submit succeeds
-// only when a worker is free to pick the job up promptly). No per-tenant
-// quota is enforced; see NewTenantQueue.
-func NewQueue(workers, backlog int) *Queue {
-	return NewTenantQueue(workers, backlog, 0)
-}
-
-// NewTenantQueue is NewQueue with a per-tenant admission quota: at most
-// `quota` jobs from any one tenant may wait at a time (values below 1, or
-// above backlog, mean no per-tenant bound beyond the shared backlog).
-// Tenants always retain round-robin dispatch fairness either way.
+// NewTenantQueue starts a queue with the given worker count (values below 1
+// mean one worker), backlog capacity (values below 0 mean 0: SubmitAs
+// succeeds only when a worker is free to pick the job up promptly) and
+// per-tenant admission quota: at most `quota` jobs from any one tenant may
+// wait at a time (values below 1, or above backlog, mean no per-tenant
+// bound beyond the shared backlog). Tenants always retain round-robin
+// dispatch fairness either way.
 func NewTenantQueue(workers, backlog, quota int) *Queue {
 	if workers < 1 {
 		workers = 1
@@ -109,7 +135,7 @@ func (q *Queue) worker() {
 			}
 			// Going idle grows admission capacity (a zero-backlog queue
 			// admits exactly as many jobs as there are parked workers), so
-			// blocked DoWait producers get woken to retry.
+			// blocked DoWaitAs producers get woken to retry.
 			q.idle++
 			q.notifySlotLocked()
 			q.cond.Wait()
@@ -121,14 +147,9 @@ func (q *Queue) worker() {
 		q.mu.Unlock()
 
 		q.running.Add(1)
-		// A job whose caller already gave up still runs: fn receives the
-		// dead context and is expected to unwind immediately (every run
-		// path in this codebase checks ctx first). Skipping it here would
-		// leave synchronous waiters guessing whether fn observed the
-		// cancellation.
-		t.fn(t.ctx)
+		err := t.run()
 		q.running.Add(-1)
-		close(t.done)
+		t.done <- err
 
 		q.mu.Lock()
 	}
@@ -192,39 +213,61 @@ func (q *Queue) notifySlotLocked() {
 	q.slotCh = make(chan struct{})
 }
 
-// Submit enqueues fn to run with ctx on a free worker and returns without
-// waiting. It fails fast with ErrQueueFull when admission fails and
-// ErrQueueClosed after Close.
-func (q *Queue) Submit(ctx context.Context, fn func(context.Context)) error {
-	return q.SubmitAs(ctx, "", fn)
-}
-
-// SubmitAs is Submit under a tenant name for quota accounting and fair
-// dispatch.
-func (q *Queue) SubmitAs(ctx context.Context, tenant string, fn func(context.Context)) error {
-	_, err := q.submit(ctx, tenant, fn)
-	return err
-}
-
-func (q *Queue) submit(ctx context.Context, tenant string, fn func(context.Context)) (chan struct{}, error) {
-	t := queueTask{ctx: ctx, fn: fn, done: make(chan struct{})}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return nil, ErrQueueClosed
+// SubmitAs enqueues fn under a tenant name (quota accounting and fair
+// dispatch) and returns without waiting. It fails fast with ErrQueueFull
+// when admission fails and ErrQueueClosed after Close. Otherwise wait,
+// called once, blocks until the task has finished or been skipped and
+// returns its outcome (see Queue).
+func (q *Queue) SubmitAs(ctx context.Context, tenant string, fn func(context.Context)) (wait func() error, err error) {
+	done, err := q.enqueue(ctx, tenant, fn, false)
+	if err != nil {
+		return nil, err
 	}
-	if !q.admitLocked(tenant) {
-		return nil, ErrQueueFull
-	}
-	q.pushLocked(tenant, t)
-	return t.done, nil
+	return func() error { return <-done }, nil
 }
 
-// submitWait is submit without the fail-fast: when admission fails it
-// blocks until capacity frees up (a task is dispatched or a worker goes
-// idle) or ctx dies. No lock is held while parked.
-func (q *Queue) submitWait(ctx context.Context, tenant string, fn func(context.Context)) (chan struct{}, error) {
-	t := queueTask{ctx: ctx, fn: fn, done: make(chan struct{})}
+// DoAs enqueues fn and waits for its outcome — the synchronous entry point
+// request handlers use so a caller occupies exactly one queue slot for the
+// duration of its job. Cancelling ctx aborts the job (fn sees the dead
+// context) but DoAs still waits for fn to return before it does: the
+// closure may reference caller-owned state, so returning while it runs
+// would race.
+func (q *Queue) DoAs(ctx context.Context, tenant string, fn func(context.Context)) error {
+	done, err := q.enqueue(ctx, tenant, fn, false)
+	if err != nil {
+		return err
+	}
+	return <-done
+}
+
+// DoWaitAs is DoAs for batch producers: instead of failing fast on a full
+// backlog it blocks until a slot opens (or ctx dies), then waits for fn's
+// outcome. A sweep expanding hundreds of grid cells uses it so admission
+// control becomes backpressure on the one batch request rather than
+// hundreds of individual ErrQueueFull rejections — single-shot request
+// handlers should keep using DoAs so saturation surfaces as 429. The
+// per-tenant quota applies while waiting, so one tenant's parked batch
+// cannot monopolize slots as they free up.
+//
+// The two failure modes stay distinguishable: a queue already closed
+// returns ErrQueueClosed, a context that dies while waiting returns
+// ctx.Err() (errors.Is context.Canceled / DeadlineExceeded) — callers map
+// the former to service-unavailable and treat the latter as their own
+// cancellation.
+func (q *Queue) DoWaitAs(ctx context.Context, tenant string, fn func(context.Context)) error {
+	done, err := q.enqueue(ctx, tenant, fn, true)
+	if err != nil {
+		return err
+	}
+	return <-done
+}
+
+// enqueue admits a task and returns the channel its outcome arrives on.
+// When admission fails it returns ErrQueueFull, or with park set blocks
+// until capacity frees up (a task is dispatched or a worker goes idle) or
+// ctx dies. No lock is held while parked.
+func (q *Queue) enqueue(ctx context.Context, tenant string, fn func(context.Context), park bool) (chan error, error) {
+	t := queueTask{ctx: ctx, fn: fn, done: make(chan error, 1)}
 	q.mu.Lock()
 	for {
 		if q.closed {
@@ -236,6 +279,10 @@ func (q *Queue) submitWait(ctx context.Context, tenant string, fn func(context.C
 			q.mu.Unlock()
 			return t.done, nil
 		}
+		if !park {
+			q.mu.Unlock()
+			return nil, ErrQueueFull
+		}
 		ch := q.slotCh
 		q.mu.Unlock()
 		select {
@@ -245,53 +292,6 @@ func (q *Queue) submitWait(ctx context.Context, tenant string, fn func(context.C
 		}
 		q.mu.Lock()
 	}
-}
-
-// Do enqueues fn and waits for it to finish — the synchronous entry point
-// request handlers use so a caller occupies exactly one queue slot for the
-// duration of its job. Cancelling ctx aborts the job (fn sees the dead
-// context) but Do still waits for fn to return before it does: the closure
-// may reference caller-owned state, so returning while it runs would race.
-func (q *Queue) Do(ctx context.Context, fn func(context.Context)) error {
-	return q.DoAs(ctx, "", fn)
-}
-
-// DoAs is Do under a tenant name.
-func (q *Queue) DoAs(ctx context.Context, tenant string, fn func(context.Context)) error {
-	done, err := q.submit(ctx, tenant, fn)
-	if err != nil {
-		return err
-	}
-	<-done
-	return nil
-}
-
-// DoWait is Do for batch producers: instead of failing fast on a full
-// backlog it blocks until a slot opens (or ctx dies), then waits for fn to
-// finish. A sweep expanding hundreds of grid cells uses it so admission
-// control becomes backpressure on the one batch request rather than
-// hundreds of individual ErrQueueFull rejections — single-shot request
-// handlers should keep using Do so saturation surfaces as 429.
-//
-// The two failure modes stay distinguishable: a queue already closed
-// returns ErrQueueClosed, a context that dies while waiting returns
-// ctx.Err() (errors.Is context.Canceled / DeadlineExceeded) — callers map
-// the former to service-unavailable and treat the latter as their own
-// cancellation.
-func (q *Queue) DoWait(ctx context.Context, fn func(context.Context)) error {
-	return q.DoWaitAs(ctx, "", fn)
-}
-
-// DoWaitAs is DoWait under a tenant name; the per-tenant quota applies
-// while waiting, so one tenant's parked batch cannot monopolize slots as
-// they free up.
-func (q *Queue) DoWaitAs(ctx context.Context, tenant string, fn func(context.Context)) error {
-	done, err := q.submitWait(ctx, tenant, fn)
-	if err != nil {
-		return err
-	}
-	<-done
-	return nil
 }
 
 // Closed reports whether Close has begun: admission is permanently over
@@ -335,7 +335,7 @@ func (q *Queue) Running() int { return int(q.running.Load()) }
 
 // Close stops admission, waits for queued and running jobs to drain, and
 // returns. Jobs that should not run to completion must be cancelled through
-// their own contexts before Close is called.
+// their own contexts before Close is called: a queued one is then skipped.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	if !q.closed {

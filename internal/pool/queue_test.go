@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -11,8 +12,8 @@ import (
 
 func TestQueueRunsSubmittedJobs(t *testing.T) {
 	// Backlog covers the full burst: all 32 callers may enqueue before any
-	// worker picks a job up, and Do fails fast rather than blocking.
-	q := NewQueue(4, 32)
+	// worker picks a job up, and DoAs fails fast rather than blocking.
+	q := NewTenantQueue(4, 32, 0)
 	defer q.Close()
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -20,7 +21,7 @@ func TestQueueRunsSubmittedJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := q.Do(context.Background(), func(context.Context) { ran.Add(1) }); err != nil {
+			if err := q.DoAs(context.Background(), "", func(context.Context) { ran.Add(1) }); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -32,37 +33,37 @@ func TestQueueRunsSubmittedJobs(t *testing.T) {
 }
 
 func TestQueueDoWaitsForCompletion(t *testing.T) {
-	q := NewQueue(1, 4)
+	q := NewTenantQueue(1, 4, 0)
 	defer q.Close()
 	done := false
-	if err := q.Do(context.Background(), func(context.Context) {
+	if err := q.DoAs(context.Background(), "", func(context.Context) {
 		time.Sleep(10 * time.Millisecond)
 		done = true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// No race: Do must not return before the closure finished.
+	// No race: DoAs must not return before the closure finished.
 	if !done {
-		t.Fatal("Do returned before the job completed")
+		t.Fatal("DoAs returned before the job completed")
 	}
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewTenantQueue(1, 1, 0)
 	defer q.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(context.Background(), func(context.Context) {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != nil {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {}); err != nil {
 		t.Fatalf("backlog slot should accept: %v", err)
 	}
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != ErrQueueFull {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {}); err != ErrQueueFull {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
 	if d := q.Depth(); d != 1 {
@@ -75,7 +76,7 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 func TestQueuePerJobCancellation(t *testing.T) {
-	q := NewQueue(2, 4)
+	q := NewTenantQueue(2, 4, 0)
 	defer q.Close()
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
@@ -96,10 +97,10 @@ func TestQueuePerJobCancellation(t *testing.T) {
 			}
 		}
 	}
-	if err := q.Submit(ctx1, blockUntilDone(saw1)); err != nil {
+	if _, err := q.SubmitAs(ctx1, "", blockUntilDone(saw1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Submit(ctx2, blockUntilDone(saw2)); err != nil {
+	if _, err := q.SubmitAs(ctx2, "", blockUntilDone(saw2)); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -117,38 +118,38 @@ func TestQueuePerJobCancellation(t *testing.T) {
 	<-saw2
 }
 
-// TestQueueDoWaitBlocksInsteadOfFailing: where Do fails fast on a full
-// backlog, DoWait applies backpressure — it parks until a slot frees and
+// TestQueueDoWaitBlocksInsteadOfFailing: where DoAs fails fast on a full
+// backlog, DoWaitAs applies backpressure — it parks until a slot frees and
 // then runs, which is what lets a sweep push a whole grid through a small
 // queue without per-cell rejections.
 func TestQueueDoWaitBlocksInsteadOfFailing(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewTenantQueue(1, 1, 0)
 	defer q.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(context.Background(), func(context.Context) {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; fill the lone backlog slot to saturate
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != nil {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Do(context.Background(), func(context.Context) {}); err != ErrQueueFull {
-		t.Fatalf("Do = %v, want ErrQueueFull", err)
+	if err := q.DoAs(context.Background(), "", func(context.Context) {}); err != ErrQueueFull {
+		t.Fatalf("DoAs = %v, want ErrQueueFull", err)
 	}
 
 	var ran atomic.Int64
 	done := make(chan error, 1)
-	go func() { done <- q.DoWait(context.Background(), func(context.Context) { ran.Add(1) }) }()
+	go func() { done <- q.DoWaitAs(context.Background(), "", func(context.Context) { ran.Add(1) }) }()
 	select {
 	case err := <-done:
-		t.Fatalf("DoWait returned %v while the queue was saturated", err)
+		t.Fatalf("DoWaitAs returned %v while the queue was saturated", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	close(release) // worker frees up, the parked DoWait proceeds
+	close(release) // worker frees up, the parked DoWaitAs proceeds
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -160,49 +161,49 @@ func TestQueueDoWaitBlocksInsteadOfFailing(t *testing.T) {
 // TestQueueDoWaitHonoursContext: a caller that gives up while parked on a
 // saturated queue unblocks with its context's error and its job never runs.
 func TestQueueDoWaitHonoursContext(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewTenantQueue(1, 1, 0)
 	defer q.Close()
 	release := make(chan struct{})
 	defer close(release)
 	started := make(chan struct{})
-	if err := q.Submit(context.Background(), func(context.Context) {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; fill the lone backlog slot to saturate
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != nil {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	done := make(chan error, 1)
-	go func() { done <- q.DoWait(ctx, func(context.Context) { ran.Add(1) }) }()
+	go func() { done <- q.DoWaitAs(ctx, "", func(context.Context) { ran.Add(1) }) }()
 	time.Sleep(10 * time.Millisecond) // let it park on the full backlog
 	cancel()
 	if err := <-done; err != context.Canceled {
-		t.Fatalf("DoWait = %v, want context.Canceled", err)
+		t.Fatalf("DoWaitAs = %v, want context.Canceled", err)
 	}
 	if got := ran.Load(); got != 0 {
-		t.Fatalf("cancelled DoWait still ran its job %d times", got)
+		t.Fatalf("cancelled DoWaitAs still ran its job %d times", got)
 	}
 }
 
 func TestQueueDoWaitAfterCloseRejects(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewTenantQueue(1, 1, 0)
 	q.Close()
-	if err := q.DoWait(context.Background(), func(context.Context) {}); err != ErrQueueClosed {
+	if err := q.DoWaitAs(context.Background(), "", func(context.Context) {}); err != ErrQueueClosed {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
 }
 
 func TestQueueCloseDrainsAndRejects(t *testing.T) {
-	q := NewQueue(2, 8)
+	q := NewTenantQueue(2, 8, 0)
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
-		if err := q.Submit(context.Background(), func(context.Context) { ran.Add(1) }); err != nil {
+		if _, err := q.SubmitAs(context.Background(), "", func(context.Context) { ran.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,10 +211,10 @@ func TestQueueCloseDrainsAndRejects(t *testing.T) {
 	if got := ran.Load(); got != 8 {
 		t.Fatalf("Close drained %d jobs, want 8", got)
 	}
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != ErrQueueClosed {
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {}); err != ErrQueueClosed {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
-	if err := q.Do(context.Background(), func(context.Context) {}); err != ErrQueueClosed {
+	if err := q.DoAs(context.Background(), "", func(context.Context) {}); err != ErrQueueClosed {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
 	q.Close() // idempotent
@@ -224,26 +225,26 @@ func TestQueueCloseDrainsAndRejects(t *testing.T) {
 // caller's own dead context as context.Canceled, and a saturated backlog as
 // ErrQueueFull (429) — never conflated.
 func TestDoWaitDistinguishesShutdownFromCancel(t *testing.T) {
-	q := NewQueue(1, 0)
+	q := NewTenantQueue(1, 0, 0)
 	q.Close()
-	err := q.DoWait(context.Background(), func(context.Context) {})
+	err := q.DoWaitAs(context.Background(), "", func(context.Context) {})
 	if !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("DoWait on closed queue = %v, want ErrQueueClosed", err)
+		t.Errorf("DoWaitAs on closed queue = %v, want ErrQueueClosed", err)
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Error("shutdown error reads as caller cancellation")
 	}
-	if err := q.Do(context.Background(), func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("Do on closed queue = %v, want ErrQueueClosed", err)
+	if err := q.DoAs(context.Background(), "", func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("DoAs on closed queue = %v, want ErrQueueClosed", err)
 	}
-	if err := q.Submit(context.Background(), func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("Submit on closed queue = %v, want ErrQueueClosed", err)
+	if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("SubmitAs on closed queue = %v, want ErrQueueClosed", err)
 	}
 
 	// A live queue whose one worker is pinned and whose backlog is full:
-	// DoWait blocks, and cancelling the waiting caller's context must
+	// DoWaitAs blocks, and cancelling the waiting caller's context must
 	// surface as that context's error, not as a queue condition.
-	q2 := NewQueue(1, 0)
+	q2 := NewTenantQueue(1, 0, 0)
 	defer q2.Close()
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -251,11 +252,11 @@ func TestDoWaitDistinguishesShutdownFromCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Blocking entry point: the send is guaranteed to reach the worker
-		// even with a zero backlog (Do's fail-fast could lose the race
+		// even with a zero backlog (DoAs's fail-fast could lose the race
 		// against the worker parking at the channel).
-		q2.DoWait(context.Background(), func(context.Context) { <-release })
+		q2.DoWaitAs(context.Background(), "", func(context.Context) { <-release })
 	}()
-	// Wait for the worker to be pinned so the next DoWait genuinely blocks.
+	// Wait for the worker to be pinned so the next DoWaitAs genuinely blocks.
 	for q2.Running() == 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -264,9 +265,9 @@ func TestDoWaitDistinguishesShutdownFromCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	err = q2.DoWait(ctx, func(context.Context) {})
+	err = q2.DoWaitAs(ctx, "", func(context.Context) {})
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("DoWait with cancelled ctx = %v, want context.Canceled", err)
+		t.Errorf("DoWaitAs with cancelled ctx = %v, want context.Canceled", err)
 	}
 	if errors.Is(err, ErrQueueClosed) || errors.Is(err, ErrQueueFull) {
 		t.Error("caller cancellation reads as a queue condition")
@@ -282,7 +283,7 @@ func pinWorkers(t *testing.T, q *Queue, n int) (release chan struct{}) {
 	release = make(chan struct{})
 	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
-		if err := q.Submit(context.Background(), func(context.Context) {
+		if _, err := q.SubmitAs(context.Background(), "", func(context.Context) {
 			started <- struct{}{}
 			<-release
 		}); err != nil {
@@ -304,15 +305,15 @@ func TestQueueTenantQuota(t *testing.T) {
 	defer close(release)
 
 	for i := 0; i < 2; i++ {
-		if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != nil {
+		if _, err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != nil {
 			t.Fatalf("alice submit %d: %v", i, err)
 		}
 	}
-	if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != ErrQueueFull {
+	if _, err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != ErrQueueFull {
 		t.Fatalf("alice beyond quota = %v, want ErrQueueFull", err)
 	}
 	// The backlog still has 6 free slots; another tenant is unaffected.
-	if err := q.SubmitAs(context.Background(), "bob", func(context.Context) {}); err != nil {
+	if _, err := q.SubmitAs(context.Background(), "bob", func(context.Context) {}); err != nil {
 		t.Fatalf("bob submit: %v", err)
 	}
 	if d := q.Depth(); d != 3 {
@@ -336,7 +337,7 @@ func TestQueueTenantFairDispatch(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	enqueue := func(tenant string) {
-		if err := q.SubmitAs(context.Background(), tenant, func(context.Context) {
+		if _, err := q.SubmitAs(context.Background(), tenant, func(context.Context) {
 			mu.Lock()
 			order = append(order, tenant)
 			mu.Unlock()
@@ -367,19 +368,19 @@ func TestQueueTenantFairDispatch(t *testing.T) {
 	}
 }
 
-// TestQueueTenantQuotaDefaultsOff: NewQueue applies no per-tenant bound, so
-// one tenant may use the whole backlog — the pre-tenant behavior.
+// TestQueueTenantQuotaDefaultsOff: a zero quota applies no per-tenant bound,
+// so one tenant may use the whole backlog — the pre-tenant behavior.
 func TestQueueTenantQuotaDefaultsOff(t *testing.T) {
-	q := NewQueue(1, 4)
+	q := NewTenantQueue(1, 4, 0)
 	defer q.Close()
 	release := pinWorkers(t, q, 1)
 	defer close(release)
 	for i := 0; i < 4; i++ {
-		if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != nil {
+		if _, err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != ErrQueueFull {
+	if _, err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != ErrQueueFull {
 		t.Fatalf("beyond backlog = %v, want ErrQueueFull", err)
 	}
 }
@@ -392,7 +393,7 @@ func TestQueueDoWaitAsHonoursQuota(t *testing.T) {
 	release := pinWorkers(t, q, 1)
 
 	ran := make(chan string, 8)
-	if err := q.SubmitAs(context.Background(), "alice", func(context.Context) { ran <- "alice-1" }); err != nil {
+	if _, err := q.SubmitAs(context.Background(), "alice", func(context.Context) { ran <- "alice-1" }); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -413,5 +414,64 @@ func TestQueueDoWaitAsHonoursQuota(t *testing.T) {
 	}
 	if second := <-ran; second != "alice-2" {
 		t.Fatalf("second dispatched job = %s, want alice-2", second)
+	}
+}
+
+// TestQueueSkipsTaskCancelledWhileQueued: a task whose context dies while
+// it waits for a worker never runs, and its caller gets the context's error.
+func TestQueueSkipsTaskCancelledWhileQueued(t *testing.T) {
+	q := NewTenantQueue(1, 4, 0)
+	defer q.Close()
+	release := pinWorkers(t, q, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Int64
+	wait, err := q.SubmitAs(ctx, "", func(context.Context) { ran.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	close(release)
+	if err := wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wait = %v, want context.Canceled", err)
+	}
+	if got := ran.Load(); got != 0 {
+		t.Fatalf("task cancelled while queued ran %d times", got)
+	}
+}
+
+// TestQueuePanicBecomesError: a panicking task costs its caller, not the
+// process. Every entry point returns a *PanicError carrying the value and
+// the stack, the worker survives to run the next task, and Running returns
+// to 0.
+func TestQueuePanicBecomesError(t *testing.T) {
+	q := NewTenantQueue(1, 4, 0)
+	defer q.Close()
+	boom := func(context.Context) { panic("boom") }
+	wait, err := q.SubmitAs(context.Background(), "", boom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		entry string
+		err   error
+	}{
+		{"SubmitAs", wait()},
+		{"DoAs", q.DoAs(context.Background(), "", boom)},
+		{"DoWaitAs", q.DoWaitAs(context.Background(), "", boom)},
+	} {
+		var pe *PanicError
+		if !errors.As(tc.err, &pe) {
+			t.Fatalf("%s = %v, want a *PanicError", tc.entry, tc.err)
+		}
+		if pe.Value != "boom" || !bytes.Contains(pe.Stack, []byte("TestQueuePanicBecomesError")) {
+			t.Fatalf("%s: PanicError value %v, stack:\n%s", tc.entry, pe.Value, pe.Stack)
+		}
+	}
+	ran := false
+	if err := q.DoAs(context.Background(), "", func(context.Context) { ran = true }); err != nil || !ran {
+		t.Fatalf("task after the panics: err %v, ran %v", err, ran)
+	}
+	if r := q.Running(); r != 0 {
+		t.Fatalf("Running = %d after every task finished, want 0", r)
 	}
 }

@@ -39,19 +39,45 @@ type errorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// writeError writes the error envelope. Every 429 carries Retry-After: the
-// queue is a fast consumer, so "soon" is honest and clients with naive
-// retry loops get paced instead of hammering a saturated node.
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeErrorBody(w, status, ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)})
+// statusFor is the one code → HTTP status mapping (README's error table).
+func statusFor(code string) int {
+	switch code {
+	case CodeBadRequest, CodeUnknownWorkload, CodeUnknownParameter, CodeReadOnlyParameter, CodeInvalidFaultPlan:
+		return http.StatusBadRequest
+	case CodeNotFound:
+		return http.StatusNotFound
+	case CodeKeyMismatch:
+		return http.StatusConflict
+	case CodeQueueFull:
+		return http.StatusTooManyRequests
+	case CodeShuttingDown, CodeCancelled:
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
+// writeError writes the error envelope with its code's status.
+func writeError(w http.ResponseWriter, code, format string, args ...any) {
+	writeErrorBody(w, ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)})
 }
 
 // writeErrorDetails is writeError with a details map attached.
-func writeErrorDetails(w http.ResponseWriter, status int, code string, details map[string]any, format string, args ...any) {
-	writeErrorBody(w, status, ErrorBody{Code: code, Message: fmt.Sprintf(format, args...), Details: details})
+func writeErrorDetails(w http.ResponseWriter, code string, details map[string]any, format string, args ...any) {
+	writeErrorBody(w, ErrorBody{Code: code, Message: fmt.Sprintf(format, args...), Details: details})
 }
 
-func writeErrorBody(w http.ResponseWriter, status int, body ErrorBody) {
+// writeErrorFor classifies an execution or admission error (errorBodyFor) and
+// writes its envelope.
+func writeErrorFor(w http.ResponseWriter, err error) {
+	writeErrorBody(w, *errorBodyFor(err))
+}
+
+// writeErrorBody writes body under its code's status. Every 429 carries
+// Retry-After: the queue is a fast consumer, so "soon" is honest and
+// clients with naive retry loops get paced instead of hammering a
+// saturated node.
+func writeErrorBody(w http.ResponseWriter, body ErrorBody) {
+	status := statusFor(body.Code)
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
@@ -84,20 +110,5 @@ func writeUnknownWorkload(w http.ResponseWriter, name string) {
 	if near := workload.Nearest(name); near != "" {
 		details["closest"] = near
 	}
-	writeErrorDetails(w, http.StatusBadRequest, CodeUnknownWorkload, details, "%s", unknownWorkloadText(name))
-}
-
-// queueErrCode mirrors queueErrStatus for the envelope: full is queue_full,
-// closed is shutting_down, and a caller's own cancellation racing admission
-// is cancelled — never conflated (see pool.ErrQueueClosed).
-func queueErrCode(err error) string {
-	switch {
-	case errors.Is(err, pool.ErrQueueFull):
-		return CodeQueueFull
-	case errors.Is(err, pool.ErrQueueClosed):
-		return CodeShuttingDown
-	case isCtxErr(err):
-		return CodeCancelled
-	}
-	return CodeInternal
+	writeErrorDetails(w, CodeUnknownWorkload, details, "%s", unknownWorkloadText(name))
 }

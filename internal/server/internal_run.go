@@ -33,7 +33,7 @@ import (
 // measuring something else.
 func (s *Server) handleInternalRun(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, "peering is not configured on this node")
+		writeError(w, CodeNotFound, "peering is not configured on this node")
 		return
 	}
 	var req peering.ForwardRequest
@@ -46,11 +46,11 @@ func (s *Server) handleInternalRun(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, workload.ErrUnknown) {
 			code = CodeUnknownWorkload
 		}
-		writeError(w, http.StatusBadRequest, code, "%v", err)
+		writeError(w, code, "%v", err)
 		return
 	}
 	if key := spec.Key(); key != req.Key {
-		writeErrorDetails(w, http.StatusConflict, CodeKeyMismatch,
+		writeErrorDetails(w, CodeKeyMismatch,
 			map[string]any{"forwarded": req.Key, "rebuilt": key},
 			"rebuilt spec hashes to %.12s, forwarder sent %.12s: nodes run divergent model or generator revisions", key, req.Key)
 		return
@@ -58,13 +58,9 @@ func (s *Server) handleInternalRun(w http.ResponseWriter, r *http.Request) {
 	s.fleet.MarkServed()
 	res, err := s.cache.Run(r.Context(), spec)
 	if err != nil {
-		if isCtxErr(err) {
-			// The forwarder hung up (its caller cancelled); nobody reads
-			// this response, but close out the exchange coherently.
-			writeError(w, http.StatusServiceUnavailable, CodeCancelled, "%v", err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+		// When the forwarder hung up (its caller cancelled) nobody reads
+		// this, but the exchange still closes coherently as cancelled.
+		writeErrorFor(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

@@ -15,6 +15,11 @@
 // are polled via GET /v1/jobs/{id} and cancelled via DELETE; batch sweeps
 // expand a parameter grid server-side, fan the cells through the queue, and
 // stream per-cell results back as NDJSON with partial progress on cancel.
+// The queue owns the contract every path shares: a task whose caller gave
+// up while it waited never runs, and a panic in a task becomes that
+// request's internal error instead of a crash. Sweeps and tune searches
+// share one NDJSON job scaffold (stream.go): a header line, one line per
+// completed cell or round, and a footer that is also the job's result.
 //
 // Endpoints:
 //
@@ -332,7 +337,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Workload == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "missing workload")
+		writeError(w, CodeBadRequest, "missing workload")
 		return
 	}
 	reps := req.Reps
@@ -340,7 +345,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		reps = s.opts.Reps
 	}
 	if reps < 1 || reps > s.opts.MaxReps {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "reps", "max": s.opts.MaxReps},
 			"reps must be in [1, %d], got %d", s.opts.MaxReps, reps)
 		return
@@ -359,7 +364,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var faults lustre.FaultPlan
 	if req.Faults != nil {
 		if err := req.Faults.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidFaultPlan, "%v", err)
+			writeError(w, CodeInvalidFaultPlan, "%v", err)
 			return
 		}
 		faults = *req.Faults
@@ -373,65 +378,42 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	job.setCancel(cancel)
 	var (
-		resp   *EvaluateResponse
+		walls  []float64
+		sum    stats.Summary
 		runErr error
 	)
-	// Synchronous: Do returns only after the closure finished, so
-	// resp/runErr are safely published. Admission is tenant-aware: the
-	// header's tenant pays quota and gets fair dispatch.
-	qerr := s.queue.DoAs(rctx, tenantOf(r), func(ctx context.Context) {
-		// Cancelled (DELETE or client disconnect) while still waiting for a
-		// worker: report cancelled without starting the measurement.
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			return
-		}
+	// Synchronous: DoAs returns only after the task finished or was
+	// skipped, so walls/sum/runErr are safely published. Admission is
+	// tenant-aware: the header's tenant pays quota and gets fair dispatch.
+	err := s.queue.DoAs(rctx, tenantOf(r), func(ctx context.Context) {
 		job.start()
-		walls, sum, err := func() (walls []float64, sum stats.Summary, err error) {
-			// A panic below must cost this job, not the process.
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("evaluate panicked: %v", r)
-				}
-			}()
-			return s.eng.EvaluateBatchFaults(ctx, req.Workload, cfg, reps, seed, faults)
-		}()
-		if err != nil {
-			runErr = err
-			return
-		}
-		resp = &EvaluateResponse{
-			Workload:     req.Workload,
-			Reps:         reps,
-			Seed:         seed,
-			Scale:        s.opts.Scale,
-			MeanSeconds:  sum.Mean,
-			CI90Seconds:  sum.CI90,
-			WallsSeconds: walls,
-			Platform:     s.plat.Name(),
-		}
-		if !faults.IsZero() {
-			resp.Faults = &faults
-		}
+		walls, sum, runErr = s.eng.EvaluateBatchFaults(ctx, req.Workload, cfg, reps, seed, faults)
 	})
-	if qerr != nil {
-		job.fail(qerr, nil)
-		writeError(w, queueErrStatus(qerr), queueErrCode(qerr), "%v", qerr)
+	if err == nil {
+		err = runErr
+	}
+	if err != nil {
+		job.fail(err, nil)
+		writeErrorFor(w, err)
 		return
 	}
-	if runErr != nil {
-		job.fail(runErr, nil)
-		status := http.StatusInternalServerError
-		if errors.Is(runErr, workload.ErrUnknown) {
-			status = http.StatusBadRequest
-		}
-		writeErrorBody(w, status, *errorBodyFor(runErr))
-		return
+	resp := EvaluateResponse{
+		Workload:     req.Workload,
+		Reps:         reps,
+		Seed:         seed,
+		Scale:        s.opts.Scale,
+		MeanSeconds:  sum.Mean,
+		CI90Seconds:  sum.CI90,
+		WallsSeconds: walls,
+		Platform:     s.plat.Name(),
+	}
+	if !faults.IsZero() {
+		resp.Faults = &faults
 	}
 	data, err := json.Marshal(resp)
 	if err != nil {
 		job.fail(err, nil)
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+		writeError(w, CodeInternal, "%v", err)
 		return
 	}
 	job.finish(data, nil)
@@ -458,7 +440,7 @@ type FigureResult struct {
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !experiments.Valid(id) {
-		writeErrorDetails(w, http.StatusNotFound, CodeNotFound,
+		writeErrorDetails(w, CodeNotFound,
 			map[string]any{"known": experiments.IDs()},
 			"unknown experiment %q (known: %v)", id, experiments.IDs())
 		return
@@ -472,13 +454,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// Overrides get the same admission checks as evaluate: a queue worker
 	// must never be handed values that crash or pin it.
 	if req.Reps < 0 || req.Reps > s.opts.MaxReps {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "reps", "max": s.opts.MaxReps},
 			"reps must be in [1, %d], got %d", s.opts.MaxReps, req.Reps)
 		return
 	}
 	if req.Scale < 0 || req.Scale > 1.0 {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "scale"},
 			"scale must be in (0, 1.0], got %g", req.Scale)
 		return
@@ -505,44 +487,45 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	jctx, cancel := context.WithCancel(s.baseCtx)
 	job.setCancel(cancel)
 	before := s.cache.Stats()
-	err := s.queue.SubmitAs(jctx, tenantOf(r), func(ctx context.Context) {
-		defer cancel()
-		// Cancelled while still queued (DELETE before a worker was free, or
-		// server shutdown): the job must report cancelled promptly and its
-		// experiment must never start.
-		if err := ctx.Err(); err != nil {
-			job.fail(err, nil)
-			return
-		}
+	var (
+		out    string
+		runErr error
+		delta  *runcache.Stats // set once the experiment ran, even into a panic
+	)
+	wait, err := s.queue.SubmitAs(jctx, tenantOf(r), func(ctx context.Context) {
 		job.start()
-		out, runErr := func() (out string, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("experiment panicked: %v", r)
-				}
-			}()
-			return experiments.Run(ctx, id, cfg)
-		}()
 		// The delta is attributed to this job; with concurrent jobs on one
 		// shared cache it is approximate, which /v1/stats documents.
-		delta := s.cache.Stats().Delta(before)
-		if runErr != nil {
-			job.fail(runErr, &delta)
-			return
-		}
-		data, mErr := json.Marshal(FigureResult{ID: id, Text: out})
-		if mErr != nil {
-			job.fail(mErr, &delta)
-			return
-		}
-		job.finish(data, &delta)
+		defer func() {
+			d := s.cache.Stats().Delta(before)
+			delta = &d
+		}()
+		out, runErr = experiments.Run(ctx, id, cfg)
 	})
 	if err != nil {
 		cancel()
 		job.fail(err, nil)
-		writeError(w, queueErrStatus(err), queueErrCode(err), "%v", err)
+		writeErrorFor(w, err)
 		return
 	}
+	// A job cancelled while still queued (DELETE before a worker was free,
+	// or server shutdown) never starts; wait reports that, a panic, or nil.
+	go func() {
+		defer cancel()
+		err := wait()
+		if err == nil {
+			err = runErr
+		}
+		var data []byte
+		if err == nil {
+			data, err = json.Marshal(FigureResult{ID: id, Text: out})
+		}
+		if err != nil {
+			job.fail(err, delta)
+			return
+		}
+		job.finish(data, delta)
+	}()
 	writeJSON(w, http.StatusAccepted, job.view())
 }
 
@@ -556,7 +539,7 @@ var jobKinds = map[string]bool{"evaluate": true, "figure": true, "sweep": true, 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	kind := r.URL.Query().Get("kind")
 	if kind != "" && !jobKinds[kind] {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "kind", "known": []string{"evaluate", "figure", "sweep", "tune"}},
 			"unknown job kind %q", kind)
 		return
@@ -567,7 +550,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such job %q", r.PathValue("id"))
+		writeError(w, CodeNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, job.view())
@@ -576,7 +559,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such job %q", r.PathValue("id"))
+		writeError(w, CodeNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	if job.terminal() {
@@ -659,27 +642,13 @@ func unknownWorkloadText(name string) string {
 	return fmt.Sprintf("%v %q", workload.ErrUnknown, name)
 }
 
-// queueErrStatus maps a queue admission error onto its HTTP status. The
-// three failure modes must not be conflated (see pool.ErrQueueClosed): a
-// full backlog is transient saturation the client should back off from
-// (429), a closed queue means the service is shutting down and a retry
-// against this process is futile (503), and anything else — including the
-// caller's own cancellation racing admission — is reported as 503 rather
-// than blamed on load.
-func queueErrStatus(err error) int {
-	if errors.Is(err, pool.ErrQueueFull) {
-		return http.StatusTooManyRequests
-	}
-	return http.StatusServiceUnavailable
-}
-
 // decodeBody parses a JSON request body (1 MiB bound, unknown fields
 // rejected), writing a 400 and returning false on failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
+		writeError(w, CodeBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -688,7 +657,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+		writeError(w, CodeInternal, "%v", err)
 		return
 	}
 	writeRaw(w, status, data)

@@ -345,9 +345,13 @@ func TestEvaluateJobCancelViaDelete(t *testing.T) {
 		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json",
 			strings.NewReader(`{"workload":"IOR_16M","reps":1,"seed":6}`))
 		if err == nil {
+			var env errorEnvelope
+			err = json.NewDecoder(resp.Body).Decode(&env)
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				err = fmt.Errorf("cancelled evaluate returned 200")
+			} else if err == nil && (resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != CodeCancelled) {
+				err = fmt.Errorf("cancelled evaluate: HTTP %d %+v, want 503 %s", resp.StatusCode, env.Error, CodeCancelled)
 			}
 		}
 		errc <- err
@@ -374,7 +378,7 @@ func TestEvaluateJobCancelViaDelete(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("DELETE never cancelled the evaluate job")
 	}
-	if err := <-errc; err != nil && strings.Contains(err.Error(), "200") {
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 
@@ -1218,5 +1222,10 @@ func TestShutdownMapsTo503(t *testing.T) {
 	resp, data = post(t, ts.URL+"/v1/tune", `{"workload":"IOR_16M"}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("tune after shutdown: HTTP %d (%s), want 503", resp.StatusCode, data)
+	}
+	resp, data = post(t, ts.URL+"/v1/sweeps", `{"workload":"IOR_16M","grid":{"osc.max_dirty_mb":[1,2]}}`)
+	var env errorEnvelope
+	if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(data, &env) != nil || env.Error.Code != CodeShuttingDown {
+		t.Errorf("sweep after shutdown: HTTP %d (%s), want 503 %s", resp.StatusCode, data, CodeShuttingDown)
 	}
 }

@@ -1,19 +1,13 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
+	"stellar/internal/lustre"
 	"stellar/internal/params"
-	"stellar/internal/pool"
 	"stellar/internal/runcache"
-	"stellar/internal/stats"
 	"stellar/internal/workload"
 )
 
@@ -50,6 +44,8 @@ type SweepCell struct {
 	CI90Seconds  float64          `json:"ci90_s,omitempty"`
 	WallsSeconds []float64        `json:"walls_s,omitempty"`
 	Error        string           `json:"error,omitempty"`
+
+	err error // the error behind Error, kept off the wire for errors.Is
 }
 
 // SweepFooter is the last NDJSON line: how much of the grid completed, the
@@ -113,7 +109,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Workload == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "missing workload")
+		writeError(w, CodeBadRequest, "missing workload")
 		return
 	}
 	if !workload.Known(req.Workload) {
@@ -125,7 +121,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		reps = s.opts.Reps
 	}
 	if reps < 1 || reps > s.opts.MaxReps {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "reps", "max": s.opts.MaxReps},
 			"reps must be in [1, %d], got %d", s.opts.MaxReps, reps)
 		return
@@ -135,7 +131,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		seed = s.opts.Seed
 	}
 	if len(req.Grid) == 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "missing grid")
+		writeError(w, CodeBadRequest, "missing grid")
 		return
 	}
 	// Every grid and base parameter gets the same admission checks as
@@ -147,13 +143,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(vs) == 0 {
-			writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+			writeErrorDetails(w, CodeBadRequest,
 				map[string]any{"axis": k}, "grid axis %q is empty", k)
 			return
 		}
 		total *= len(vs)
 		if total > s.opts.MaxSweepCells {
-			writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+			writeErrorDetails(w, CodeBadRequest,
 				map[string]any{"max_cells": s.opts.MaxSweepCells},
 				"grid expands past the %d-cell limit", s.opts.MaxSweepCells)
 			return
@@ -166,41 +162,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cells := expandGrid(req.Base, req.Grid)
-	tenant := tenantOf(r)
-	job := s.jobs.create("sweep", req.Workload)
-	job.setTotal(len(cells))
-	// Like evaluate, the sweep descends from the request context (client
-	// disconnect stops the grid) with its own cancel so DELETE works.
-	rctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	job.setCancel(cancel)
-	job.start()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	// A failed write means the client is gone: cancel, so the remaining
-	// cells stop instead of running on unobserved.
-	writeLine := func(v any) {
-		if err := enc.Encode(v); err != nil {
-			cancel()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	st := s.openStream(w, r, "sweep", req.Workload, len(cells))
+	if st == nil {
+		return
 	}
-	before := s.cache.Stats()
-	t0 := time.Now()
-	writeLine(SweepHeader{
-		Job: job.id, Workload: req.Workload, Cells: len(cells),
+	st.line(SweepHeader{
+		Job: st.job.id, Workload: req.Workload, Cells: len(cells),
 		Reps: reps, Seed: seed, Scale: s.opts.Scale,
 	})
 
-	// Each cell is one DoWait queue task: the queue's worker bound is the
-	// sweep's parallelism, and a full backlog blocks dispatch (backpressure
-	// on this one request) instead of failing cells with ErrQueueFull.
+	// Each cell is one queue task (evalQueued), run under the clean plan.
+	tenant := tenantOf(r)
 	results := make(chan SweepCell)
 	var wg sync.WaitGroup
 	for i, cfg := range cells {
@@ -212,38 +184,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			for k, v := range wire {
 				cfg[k] = v
 			}
-			qerr := s.queue.DoWaitAs(rctx, tenant, func(ctx context.Context) {
-				// Cancelled while still queued: never run the measurement.
-				if ctx.Err() != nil {
-					cell.Error = ctx.Err().Error()
-					return
-				}
-				walls, sum, err := func() (walls []float64, sum stats.Summary, err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							err = fmt.Errorf("sweep cell panicked: %v", r)
-						}
-					}()
-					return s.eng.EvaluateSeries(ctx, req.Workload, cfg, reps, seed)
-				}()
-				if err != nil {
-					cell.Error = err.Error()
-					return
-				}
-				cell.MeanSeconds = sum.Mean
-				cell.CI90Seconds = sum.CI90
-				cell.WallsSeconds = walls
-			})
-			if qerr != nil {
-				// Shutdown and caller-cancel are distinct conditions (see
-				// pool.ErrQueueClosed): a closed queue marks the cell failed
-				// with an explicit shutdown message, while the sweep's own
-				// cancellation is filtered out by the collector below.
-				if errors.Is(qerr, pool.ErrQueueClosed) {
-					cell.Error = "service shutting down: " + qerr.Error()
-				} else {
-					cell.Error = qerr.Error()
-				}
+			walls, sum, err := s.evalQueued(st.ctx, tenant, req.Workload, cfg, reps, seed, lustre.FaultPlan{})
+			if err != nil {
+				cell.err, cell.Error = err, lineError(err)
+			} else {
+				cell.MeanSeconds, cell.CI90Seconds, cell.WallsSeconds = sum.Mean, sum.CI90, walls
 			}
 			results <- cell
 		}(i, cfg)
@@ -255,8 +200,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	var done, failed int
 	for cell := range results {
-		if cell.Error != "" {
-			if isCtxErrString(cell.Error) {
+		if cell.err != nil {
+			if isCtxErr(cell.err) {
 				// A cancelled cell is not progress and not a cell failure;
 				// the footer's cancelled flag reports it collectively.
 				continue
@@ -265,26 +210,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		} else {
 			done++
 		}
-		job.cellDone()
-		writeLine(cell)
+		st.job.cellDone()
+		st.line(cell)
 	}
-
-	delta := s.cache.Stats().Delta(before)
-	footer := SweepFooter{
-		Done: done, Failed: failed, Cells: len(cells),
-		Cancelled: rctx.Err() != nil,
-		Seconds:   time.Since(t0).Seconds(),
-		Cache:     delta,
-	}
-	// One marshal serves both the stream's footer line and the retained
-	// job result (SweepFooter contains no unmarshalable types).
-	data, _ := json.Marshal(footer)
-	writeLine(json.RawMessage(data))
-	if footer.Cancelled {
-		job.fail(rctx.Err(), &delta)
-		return
-	}
-	job.finish(data, &delta)
+	st.end(nil, func(end streamEnd) any {
+		return SweepFooter{
+			Done: done, Failed: failed, Cells: len(cells),
+			Cancelled: end.Cancelled, Seconds: end.Seconds, Cache: end.Cache,
+		}
+	})
 }
 
 // checkParam validates one configurable parameter name at admission
@@ -293,21 +227,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) checkParam(w http.ResponseWriter, name string) bool {
 	p, ok := s.eng.Registry().Get(name)
 	if !ok {
-		writeErrorDetails(w, http.StatusBadRequest, CodeUnknownParameter,
+		writeErrorDetails(w, CodeUnknownParameter,
 			map[string]any{"parameter": name}, "unknown parameter %q", name)
 		return false
 	}
 	if !p.Writable {
-		writeErrorDetails(w, http.StatusBadRequest, CodeReadOnlyParameter,
+		writeErrorDetails(w, CodeReadOnlyParameter,
 			map[string]any{"parameter": name}, "parameter %q is read-only", name)
 		return false
 	}
 	return true
-}
-
-// isCtxErrString matches cell errors that are context cancellations. Cell
-// errors cross a string boundary (they ride in SweepCell JSON), so the
-// check is textual rather than errors.Is.
-func isCtxErrString(msg string) bool {
-	return msg == context.Canceled.Error() || msg == context.DeadlineExceeded.Error()
 }

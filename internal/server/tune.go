@@ -2,15 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
 	"stellar/internal/lustre"
 	"stellar/internal/params"
-	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/search"
 	"stellar/internal/stats"
@@ -87,26 +82,18 @@ type TuneFooter struct {
 
 // handleTune serves POST /v1/tune: validate and resolve the search, then
 // stream one NDJSON line per completed halving round (header first, footer
-// last). Every candidate evaluation is one DoWait task on the job queue,
+// last). Every candidate evaluation is one DoWaitAs task on the job queue,
 // so a search shares workers fairly with everything else the server is
 // doing and saturation backpressures the search instead of failing it. A
 // client disconnect or DELETE /v1/jobs/{id} cancels the search; rounds
 // already streamed are the partial progress.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	// Shutdown check before any byte of the stream: once the NDJSON header
-	// is out, a closed queue can only be reported in-band, so a search that
-	// arrives after Close gets its 503 here (shutdown is 503, never 429 —
-	// see pool.ErrQueueClosed).
-	if s.queue.Closed() {
-		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, "%v", pool.ErrQueueClosed)
-		return
-	}
 	var req TuneRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Workload == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "missing workload")
+		writeError(w, CodeBadRequest, "missing workload")
 		return
 	}
 	if !workload.Known(req.Workload) {
@@ -123,13 +110,13 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		candidates = 8
 	}
 	if candidates < 2 || candidates > s.opts.MaxTuneCandidates {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "candidates", "max": s.opts.MaxTuneCandidates},
 			"candidates must be in [2, %d], got %d", s.opts.MaxTuneCandidates, candidates)
 		return
 	}
 	if req.Eta < 0 || req.Eta == 1 {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "eta"}, "eta must be >= 2, got %d", req.Eta)
 		return
 	}
@@ -138,13 +125,13 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		maxReps = s.opts.Reps
 	}
 	if maxReps < 1 || maxReps > s.opts.MaxReps {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "max_reps", "max": s.opts.MaxReps},
 			"max_reps must be in [1, %d], got %d", s.opts.MaxReps, maxReps)
 		return
 	}
 	if req.MinReps < 0 || req.MinReps > maxReps {
-		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+		writeErrorDetails(w, CodeBadRequest,
 			map[string]any{"field": "min_reps", "max": maxReps},
 			"min_reps must be in [1, %d], got %d", maxReps, req.MinReps)
 		return
@@ -153,7 +140,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	var faults lustre.FaultPlan
 	if req.Faults != nil {
 		if err := req.Faults.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidFaultPlan, "%v", err)
+			writeError(w, CodeInvalidFaultPlan, "%v", err)
 			return
 		}
 		faults = *req.Faults
@@ -161,7 +148,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	variants := req.FaultVariants
 	if robust {
 		if req.Faults == nil || faults.IsZero() {
-			writeError(w, http.StatusBadRequest, CodeInvalidFaultPlan,
+			writeError(w, CodeInvalidFaultPlan,
 				"the robust objective requires a non-empty fault plan (faults)")
 			return
 		}
@@ -169,13 +156,13 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			variants = 2
 		}
 		if variants < 1 || variants > 8 {
-			writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
+			writeErrorDetails(w, CodeBadRequest,
 				map[string]any{"field": "fault_variants", "max": 8},
 				"fault_variants must be in [1, 8], got %d", req.FaultVariants)
 			return
 		}
 	} else if req.FaultVariants != 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "fault_variants requires the robust objective kind")
+		writeError(w, CodeBadRequest, "fault_variants requires the robust objective kind")
 		return
 	}
 	var objective search.Objective
@@ -184,7 +171,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		spec.Perturbations = variants
 		var err error
 		if objective, err = spec.Build(); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+			writeError(w, CodeBadRequest, "%v", err)
 			return
 		}
 	}
@@ -208,36 +195,12 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	opts = opts.WithDefaults()
 
-	tenant := tenantOf(r)
-	job := s.jobs.create("tune", req.Workload)
-	// Like sweeps, the search descends from the request context (client
-	// disconnect stops it) with its own cancel so DELETE works.
-	rctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	job.setCancel(cancel)
-	job.setTotal(search.RoundsFor(opts))
-	job.start()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	// A failed write means the client is gone: cancel, so the remaining
-	// rounds stop instead of running on unobserved.
-	writeLine := func(v any) {
-		if err := enc.Encode(v); err != nil {
-			cancel()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	st := s.openStream(w, r, "tune", req.Workload, search.RoundsFor(opts))
+	if st == nil {
+		return
 	}
-	before := s.cache.Stats()
-	last := before
-	t0 := time.Now()
 	hdr := TuneHeader{
-		Job: job.id, Workload: opts.Workload, Objective: opts.Objective.Name(),
+		Job: st.job.id, Workload: opts.Workload, Objective: opts.Objective.Name(),
 		Space: opts.Space, Candidates: opts.Candidates, Eta: opts.Eta,
 		MinReps: opts.MinReps, MaxReps: opts.MaxReps,
 		Seed: opts.Seed, Scale: s.opts.Scale,
@@ -246,39 +209,14 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		hdr.Faults = &faults
 		hdr.FaultVariants = variants
 	}
-	writeLine(hdr)
+	st.line(hdr)
 
-	// Each candidate evaluation is one blocking queue task; the search's
-	// per-round fan-out parks on DoWait until workers free up, exactly like
-	// sweep cells. Every measurement runs under the request's fault plan
-	// (the zero plan is a healthy cluster).
-	runEval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64, plan lustre.FaultPlan) ([]float64, stats.Summary, error) {
-		var (
-			walls  []float64
-			sum    stats.Summary
-			runErr error
-		)
-		qerr := s.queue.DoWaitAs(ctx, tenant, func(ctx context.Context) {
-			if err := ctx.Err(); err != nil {
-				runErr = err
-				return
-			}
-			walls, sum, runErr = func() (walls []float64, sum stats.Summary, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("tune evaluation panicked: %v", r)
-					}
-				}()
-				return s.eng.EvaluateBatchFaults(ctx, wl, cfg, reps, seedBase, plan)
-			}()
-		})
-		if qerr != nil {
-			return nil, stats.Summary{}, qerr
-		}
-		return walls, sum, runErr
-	}
+	// Each candidate evaluation is one queue task (evalQueued), exactly
+	// like sweep cells, under the request's fault plan (the zero plan is a
+	// healthy cluster).
+	tenant := tenantOf(r)
 	eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
-		return runEval(ctx, wl, cfg, reps, seedBase, faults)
+		return s.evalQueued(ctx, tenant, wl, cfg, reps, seedBase, faults)
 	}
 	if robust {
 		// Variant 0 is the clean cluster, 1 the requested plan, 2..K
@@ -286,49 +224,31 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		// in that fixed order for the robust objective to score.
 		plans := faults.Variants(variants)
 		eval = search.PerturbedEval(variants, func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64, v int) ([]float64, error) {
-			walls, _, err := runEval(ctx, wl, cfg, reps, seedBase, plans[v])
+			walls, _, err := s.evalQueued(ctx, tenant, wl, cfg, reps, seedBase, plans[v])
 			return walls, err
 		})
 	}
 
-	res, runErr := search.Run(rctx, eval, opts, func(rd search.Round) {
+	last := st.before
+	res, runErr := search.Run(st.ctx, eval, opts, func(rd search.Round) {
 		now := s.cache.Stats()
-		writeLine(TuneRound{Round: rd, Cache: now.Delta(last)})
+		st.line(TuneRound{Round: rd, Cache: now.Delta(last)})
 		last = now
-		job.cellDone()
+		st.job.cellDone()
 	})
-
-	delta := s.cache.Stats().Delta(before)
-	footer := TuneFooter{
-		Cancelled: rctx.Err() != nil,
-		Seconds:   time.Since(t0).Seconds(),
-		Cache:     delta,
-	}
-	if runErr != nil && !footer.Cancelled {
-		// A queue closed mid-search is a shutdown, not a search failure; the
-		// footer says so explicitly since the 200 header is already out.
-		if errors.Is(runErr, pool.ErrQueueClosed) {
-			footer.Error = "service shutting down: " + runErr.Error()
-		} else {
-			footer.Error = runErr.Error()
+	st.end(runErr, func(end streamEnd) any {
+		footer := TuneFooter{Cancelled: end.Cancelled, Seconds: end.Seconds, Cache: end.Cache}
+		if runErr != nil && !end.Cancelled {
+			footer.Error = lineError(runErr)
 		}
-	}
-	if res != nil {
-		footer.Winner = res.Winner
-		footer.DefaultMean = res.DefaultMean
-		footer.Speedup = res.Speedup()
-		footer.Rounds = len(res.Rounds)
-		footer.Evaluations = res.Evaluations
-		footer.RepRuns = res.RepRuns
-	}
-	// One marshal serves both the stream's footer line and the retained job
-	// result, so polling the job re-serves exactly what was streamed.
-	data, _ := json.Marshal(footer)
-	writeLine(json.RawMessage(data))
-	switch {
-	case runErr != nil:
-		job.fail(runErr, &delta)
-	default:
-		job.finish(data, &delta)
-	}
+		if res != nil {
+			footer.Winner = res.Winner
+			footer.DefaultMean = res.DefaultMean
+			footer.Speedup = res.Speedup()
+			footer.Rounds = len(res.Rounds)
+			footer.Evaluations = res.Evaluations
+			footer.RepRuns = res.RepRuns
+		}
+		return footer
+	})
 }
