@@ -10,6 +10,7 @@ package lustre
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"stellar/internal/cluster"
 	"stellar/internal/params"
@@ -21,6 +22,11 @@ import (
 // entry made by an older model at once. Bump it with any change that
 // alters a simulated result; TestModelRevisionGolden fails until you do.
 const ModelRevision = 1
+
+// registry is the parameter table decodeConfig reads defaults and bounds
+// from. It is immutable after construction, so it is built once; it stays
+// inside the package so no caller can mutate the shared copy.
+var registry = sync.OnceValue(params.Lustre)
 
 // Options configures a simulated run.
 type Options struct {
@@ -92,7 +98,8 @@ const pageSize = 4096
 // (Lustre's automatic sizing).
 const lruAuto = 1000
 
-func decodeConfig(cfg params.Config, spec cluster.Spec, reg *params.Registry) (cfgValues, []string, error) {
+func decodeConfig(cfg params.Config, spec cluster.Spec) (cfgValues, []string, error) {
+	reg := registry()
 	env := params.SystemEnv(int64(spec.MemoryMBPerNode), int64(spec.OSTCount), nil)
 	clamped, clampedNames := params.Clamp(cfg, reg, env)
 	get := func(name string) int64 {
@@ -159,8 +166,7 @@ func Run(ctx context.Context, w *workload.Workload, opts Options) (*Result, erro
 	if err := opts.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	reg := params.Lustre()
-	cv, clamped, err := decodeConfig(opts.Config, opts.Spec, reg)
+	cv, clamped, err := decodeConfig(opts.Config, opts.Spec)
 	if err != nil {
 		return nil, err
 	}

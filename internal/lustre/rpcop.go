@@ -362,7 +362,7 @@ func (r *runner) rpcStep(i int32) {
 	case rsReply:
 		r.ostThreads[op.ost].Release()
 		op.state = rsDone
-		r.eng.After(r.spec.NetworkRTT/2, op.cont)
+		r.eng.AfterLane(r.halfRTT, op.cont)
 	case rsDone:
 		if now := r.eng.Now(); now > r.res.LastDataRPC {
 			r.res.LastDataRPC = now
@@ -377,7 +377,7 @@ func (r *runner) startRPC(op *rpcOp) {
 	r.res.DataRPCs++
 	op.media = r.mediaTime(op.size, op.write)
 	op.state = rsNodeNIC
-	r.eng.After(r.spec.NetworkRTT/2, op.cont)
+	r.eng.AfterLane(r.halfRTT, op.cont)
 }
 
 // completeRPC dispatches an arrived RPC reply by kind. Fields are copied out
@@ -454,7 +454,7 @@ func (r *runner) metaStep(i int32) {
 	switch m.state {
 	case msEnter:
 		m.state = msLock
-		r.eng.After(r.spec.NetworkRTT/2, m.cont)
+		r.eng.AfterLane(r.halfRTT, m.cont)
 	case msLock:
 		if m.serial > 0 && m.dir >= 0 {
 			m.state = msService
@@ -466,7 +466,7 @@ func (r *runner) metaStep(i int32) {
 		r.metaService(m)
 	case msReply:
 		m.state = msDone
-		r.eng.After(r.spec.NetworkRTT/2, m.cont)
+		r.eng.AfterLane(r.halfRTT, m.cont)
 	case msDone:
 		g := r.mdc[m.node]
 		if m.mod {
@@ -519,7 +519,7 @@ func (r *runner) completeMeta(i int32) {
 		r.metaInsert(node, file)
 		fe := &mc.fetch[file]
 		for rk := r.unpark(&fe.waiters); rk >= 0; rk = r.unpark(&fe.waiters) {
-			r.eng.After(localHitTime, r.sc.ranks[rk].stat)
+			r.eng.AfterLane(r.hitTime, r.sc.ranks[rk].stat)
 		}
 		fe.on = false
 		mc.inflight--

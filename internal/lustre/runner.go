@@ -41,6 +41,14 @@ type runner struct {
 	mds        *sim.Resource
 	dirLock    []*sim.Resource
 
+	// Fixed-delay event lanes for the model's three constant delays: one
+	// network leg (NetworkRTT/2), the per-op think time (ComputePerOp) and
+	// a client-cache hit (localHitTime). Scheduling through them orders
+	// events exactly as After would, without a heap sift.
+	halfRTT sim.Lane
+	think   sim.Lane
+	hitTime sim.Lane
+
 	mdc      []*sim.Gate // per node, non-modifying metadata window
 	mdcMod   []*sim.Gate // per node, modifying metadata window
 	raBudget []int64     // per node outstanding readahead bytes
@@ -112,13 +120,16 @@ func newRunner(w *workload.Workload, opts Options, cv cfgValues, sc *scratch) *r
 	eng := sc.eng
 	spec := opts.Spec
 	r := &runner{
-		eng:  eng,
-		sc:   sc,
-		spec: spec,
-		cfg:  cv,
-		w:    w,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
-		sink: opts.Trace,
+		eng:     eng,
+		sc:      sc,
+		spec:    spec,
+		cfg:     cv,
+		w:       w,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		sink:    opts.Trace,
+		halfRTT: eng.FixedLane(spec.NetworkRTT / 2),
+		think:   eng.FixedLane(w.ComputePerOp),
+		hitTime: eng.FixedLane(localHitTime),
 	}
 	if !opts.Faults.IsZero() {
 		r.faults = opts.Faults.compile(spec.OSTCount)
@@ -227,7 +238,7 @@ func (r *runner) opDone(rank int) {
 			CacheHit: rs.hit, Sequential: rs.seq,
 		})
 	}
-	r.eng.After(r.w.ComputePerOp, r.sc.ranks[rank].next)
+	r.eng.AfterLane(r.think, r.sc.ranks[rank].next)
 }
 
 // nextOp advances the rank's program counter and runs the next op.

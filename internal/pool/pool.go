@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -32,7 +33,10 @@ func Default() int { return runtime.GOMAXPROCS(0) }
 // concurrent goroutines. The first error (lowest index) cancels the
 // remaining work and is returned; ctx cancellation stops the pool and
 // returns ctx.Err(). With workers <= 1 the loop is strictly serial, which
-// is the reference path parallel runs must match bit for bit.
+// is the reference path parallel runs must match bit for bit. A task that
+// panics on one of Map's own goroutines (workers > 1) fails with a
+// *PanicError, like any other error, instead of killing the process; on
+// the serial path the panic reaches the caller's goroutine unchanged.
 func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -64,7 +68,7 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 					errs[i] = gctx.Err()
 					continue
 				}
-				if err := fn(gctx, i); err != nil {
+				if err := call(gctx, i, fn); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -95,6 +99,17 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 		return err
 	}
 	return fallout
+}
+
+// call runs fn(ctx, i) on one of Map's goroutines, turning a panic into a
+// *PanicError as a Queue worker does.
+func call(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(ctx, i)
 }
 
 // Values runs fn for every index and collects the results in input order.

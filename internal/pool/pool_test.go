@@ -84,6 +84,25 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestMapRecoversWorkerPanic: with workers > 1 a task runs on one of Map's
+// own goroutines, where an unrecovered panic would kill the process. It
+// must come back as a *PanicError instead, like any other task error.
+func TestMapRecoversWorkerPanic(t *testing.T) {
+	err := Map(context.Background(), 2, 8, func(ctx context.Context, i int) error {
+		if i == 3 {
+			panic("backend exploded")
+		}
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want *PanicError", err, err)
+	}
+	if pe.Value != "backend exploded" || len(pe.Stack) == 0 {
+		t.Fatalf("panic error lost its value or stack: %+v", pe)
+	}
+}
+
 func TestMapErrorCancelsRemainingWork(t *testing.T) {
 	var ran int64
 	err := Map(context.Background(), 2, 1000, func(ctx context.Context, i int) error {

@@ -32,9 +32,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
 
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 )
 
 // DefaultCapacity bounds the cache when the caller passes capacity <= 0. A
@@ -313,10 +315,22 @@ func (c *Cache) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunRe
 		f := &flight{done: make(chan struct{})}
 		sh.inflight[key] = f
 		sh.mu.Unlock()
+		return c.own(ctx, spec, key, sh, f)
+	}
+}
 
-		res, fromDisk, err := c.load(ctx, spec, key)
+// own runs the flight f that the caller registered for key and retires it.
+// The cleanup is deferred so a backend panic retires the flight too: its
+// waiters get a *pool.PanicError, nothing is cached, and the panic goes on
+// to the owner's caller as if the cache were not there.
+func (c *Cache) own(ctx context.Context, spec platform.RunSpec, key string, sh *shard, f *flight) (res *platform.RunResult, err error) {
+	fromDisk := false
+	defer func() {
+		v := recover()
+		if v != nil {
+			res, err = nil, &pool.PanicError{Value: v, Stack: debug.Stack()}
+		}
 		f.res, f.err = res, err
-
 		sh.mu.Lock()
 		delete(sh.inflight, key)
 		if err == nil {
@@ -331,8 +345,12 @@ func (c *Cache) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunRe
 		}
 		sh.mu.Unlock()
 		close(f.done)
-		return res, err
-	}
+		if v != nil {
+			panic(v)
+		}
+	}()
+	res, fromDisk, err = c.load(ctx, spec, key)
+	return res, err
 }
 
 // load resolves a cache miss: from the persistence directory when one is

@@ -2,6 +2,7 @@ package runcache
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/workload"
 )
 
@@ -548,5 +550,77 @@ func TestCoalescedWaiterSurvivesOwnersCancellation(t *testing.T) {
 	}
 	if res := <-waiterRes; res == nil {
 		t.Fatal("waiter got no result")
+	}
+}
+
+// panickyBackend panics on its first Run, after started/release let a test
+// coalesce a waiter onto that flight, and runs normally from then on.
+type panickyBackend struct {
+	inner   platform.Platform
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *panickyBackend) Name() string { return "panicky" }
+
+func (b *panickyBackend) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
+	first := false
+	b.once.Do(func() { first = true })
+	if first {
+		b.started <- struct{}{}
+		<-b.release
+		panic("backend exploded")
+	}
+	return b.inner.Run(ctx, spec)
+}
+
+// TestBackendPanicRetiresFlight: a backend panic must still retire its
+// flight. The panic reaches the owner's caller, a coalesced waiter gets a
+// *pool.PanicError, nothing is cached, and an identical Run afterwards
+// executes the backend instead of waiting on a flight that never closes.
+func TestBackendPanicRetiresFlight(t *testing.T) {
+	backend := &panickyBackend{
+		inner:   platform.Simulator{},
+		started: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	cache := New(backend, 0)
+	spec := testRunSpec(t, 11)
+
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		cache.Run(context.Background(), spec)
+	}()
+	<-backend.started
+	// Deadlines keep a flight that is never retired from hanging the test.
+	waiterCtx, cancelWaiter := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelWaiter()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := cache.Run(waiterCtx, spec)
+		waiterErr <- err
+	}()
+	for cache.Stats().Coalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(backend.release)
+	if v := <-ownerPanic; v != "backend exploded" {
+		t.Fatalf("owner's caller saw panic %v, want the backend's", v)
+	}
+	var pe *pool.PanicError
+	if err := <-waiterErr; !errors.As(err, &pe) || pe.Value != "backend exploded" {
+		t.Fatalf("waiter err = %v, want *pool.PanicError", err)
+	}
+	if n := cache.Stats().Entries; n != 0 {
+		t.Fatalf("a panicked run left %d cached entries", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	res, err := cache.Run(ctx, spec)
+	if err != nil || res == nil {
+		t.Fatalf("run after a recovered panic: res=%v err=%v", res, err)
 	}
 }

@@ -44,6 +44,43 @@ func BenchmarkEngineTimerWheel(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineFixedLane measures the fixed-delay lane against the heap
+// on the pattern it exists for: 64 staggered chains of timers that all use
+// one constant delay, so the heap holds 64 entries and every push sifts.
+// The "after" case schedules with After, "lane" through a FixedLane; both
+// fire the same events in the same order.
+func BenchmarkEngineFixedLane(b *testing.B) {
+	const chains, hops = 64, 64
+	run := func(b *testing.B, useLane bool) {
+		b.ReportAllocs()
+		e := NewEngine()
+		for i := 0; i < b.N; i++ {
+			e.Reset()
+			l := e.FixedLane(1e-6)
+			n := 0
+			var tick func()
+			tick = func() {
+				n++
+				if n <= chains*(hops-1) {
+					if useLane {
+						e.AfterLane(l, tick)
+					} else {
+						e.After(1e-6, tick)
+					}
+				}
+			}
+			for c := 0; c < chains; c++ {
+				e.At(float64(c)*1e-8, tick)
+			}
+			e.Run()
+		}
+		b.ReportMetric(float64(e.Fired()), "events/op")
+		b.ReportMetric(float64(e.Fired())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	}
+	b.Run("after", func(b *testing.B) { run(b, false) })
+	b.Run("lane", func(b *testing.B) { run(b, true) })
+}
+
 // BenchmarkEngineSameInstant measures the same-instant fast path: a
 // capacity-1 resource with a deep queue, so nearly every event is a grant
 // dispatched at the current instant.

@@ -1,6 +1,11 @@
 package sim
 
-// Event storage for the kernel's two run queues. The design goal is an
+import (
+	"math"
+	"math/bits"
+)
+
+// Event storage for the kernel's run queues. The design goal is an
 // allocation-free, write-barrier-free steady state:
 //
 //   - Event payloads (the closure / resource pointers) live by value in a
@@ -12,15 +17,31 @@ package sim
 //     small POD values and trigger no GC write barriers.
 //   - Same-instant wakeups (at == Engine.now, the Resource grant fast path)
 //     bypass the heap entirely through a FIFO ring of laneItems.
+//   - Fixed-delay lanes (Engine.FixedLane) are one FIFO ring of laneEvents
+//     per registered delay d, for the constant delays a model schedules
+//     over and over (a network half round trip, a think time). A lane
+//     event is always a plain closure, so it carries fn itself and skips
+//     the arena.
 //
 // Ordering invariant: events fire in strictly increasing (at, seq) order.
 // seq values are unique and assigned in scheduling order, so the order is
-// total and same-instant events fire in scheduling order (stable). The lane
-// holds only events with at == Engine.now appended in seq order, so it is
-// itself (at, seq)-sorted; the run loop merges lane and heap by comparing
-// their heads, which reproduces the exact pop sequence of a single (at, seq)
-// heap — proven against a reference container/heap kernel by the
-// equivalence and fuzz suites in this package.
+// total and same-instant events fire in scheduling order (stable). Every
+// queue other than the heap is (at, seq)-sorted by construction:
+//
+//   - the same-instant lane holds only events with at == Engine.now,
+//     appended in seq order;
+//   - a fixed lane for delay d receives at = now+d in seq order, and since
+//     now never decreases and IEEE addition is monotone (a <= b implies
+//     fl(a+d) <= fl(b+d)), its at values never decrease either.
+//
+// So no lane needs a sift: the run loop merges the heads of the heap, the
+// fixed lanes and the same-instant lane by (at, seq), which reproduces the
+// exact pop sequence of a single (at, seq) heap — proven against a
+// reference container/heap kernel by the equivalence and fuzz suites in
+// this package. The engine caches which fixed lane holds the earliest head
+// and that head's (at, seq) (laneMin, laneAt, laneSeq), so the merge
+// compares three heads per event and rescans the fixed lanes only when
+// their earliest head is popped.
 
 // eventKind selects how the run loop executes an event. Beyond plain
 // closures the kernel knows Resource grants and the two halves of
@@ -62,6 +83,20 @@ type laneItem struct {
 	idx int32
 }
 
+// laneEvent is an event in a fixed-delay lane.
+type laneEvent struct {
+	at  float64
+	seq uint64
+	fn  func()
+}
+
+// fixedLane is the FIFO of events scheduled through one registered delay.
+// Its items are (at, seq)-sorted, so the ring head is the lane's minimum.
+type fixedLane struct {
+	d float64
+	q ring[laneEvent]
+}
+
 // alloc places ev in an arena slot and returns its index.
 //
 //stellar:hotpath
@@ -87,15 +122,34 @@ func (e *Engine) take(i int32) event {
 	return ev
 }
 
-// heapPush inserts an item into the 4-ary min-heap. The hole-based sift-up
-// moves ancestors down and writes the new item once, instead of swapping
-// element-wise.
+// before reports as 1 or 0 whether a orders before b on (at, seq), with
+// no branch: it is the borrow out of the 128-bit subtraction a - b of the
+// pairs (at bits, seq). Heap items have at > 0 — schedule sends at == now
+// to the same-instant lane, and now is never below +0 — and the bit
+// pattern of a positive float64 orders like its value, so comparing the
+// bits compares the times.
+//
+//stellar:hotpath
+func before(a, b *heapItem) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(a.at), math.Float64bits(b.at), borrow)
+	return int(borrow)
+}
+
+// heapPush inserts an item into the 4-ary min-heap.
 //
 //stellar:hotpath
 func (e *Engine) heapPush(it heapItem) {
 	e.heap = append(e.heap, it)
+	e.siftUp(len(e.heap)-1, it)
+}
+
+// siftUp seats it at the hole i or above it. Hole-based sifting moves
+// ancestors down and writes it once, instead of swapping element-wise.
+//
+//stellar:hotpath
+func (e *Engine) siftUp(i int, it heapItem) {
 	h := e.heap
-	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
 		if h[p].at < it.at || (h[p].at == it.at && h[p].seq < it.seq) {
@@ -124,9 +178,12 @@ func (e *Engine) heapPop() heapItem {
 
 // siftDown re-seats it (the displaced last element) starting from the root.
 // A 4-ary layout halves the tree depth versus binary at the cost of
-// comparing up to four children per level — a good trade when each
-// comparison is two inlined scalar compares on a 24-byte record rather than
-// an interface method call on boxed pointers.
+// comparing up to four children per level. Which child is least is
+// unpredictable, so a branch-free tournament picks it. And the displaced
+// element, a former leaf, almost always belongs near the bottom, so the
+// hole goes all the way down first and it sifts back up from there
+// (Floyd's bottom-up variant), instead of paying a compare against it on
+// every level on the way down.
 //
 //stellar:hotpath
 func (e *Engine) siftDown(it heapItem) {
@@ -139,22 +196,44 @@ func (e *Engine) siftDown(it heapItem) {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].at < h[m].at || (h[j].at == h[m].at && h[j].seq < h[m].seq) {
-				m = j
+		if c+4 <= n {
+			k := h[c : c+4 : c+4]
+			a := before(&k[1], &k[0])
+			b := 2 + before(&k[3], &k[2])
+			m = c + (a ^ (a^b)&-before(&k[b&3], &k[a&3]))
+		} else {
+			for j := c + 1; j < n; j++ {
+				if before(&h[j], &h[m]) != 0 {
+					m = j
+				}
 			}
-		}
-		if it.at < h[m].at || (it.at == h[m].at && it.seq < h[m].seq) {
-			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = it
+	e.siftUp(i, it)
+}
+
+// lanePop removes and returns the head of fixed lane laneMin, the earliest
+// fixed-lane event, then rescans the lane heads for the new earliest one.
+// The engine registers a handful of lanes, so a linear scan of their heads
+// beats any ordered structure.
+//
+//stellar:hotpath
+func (e *Engine) lanePop() laneEvent {
+	it := e.lanes[e.laneMin].q.pop()
+	m, at, seq := int32(-1), math.Inf(1), uint64(0)
+	for i := range e.lanes {
+		q := &e.lanes[i].q
+		if q.n == 0 {
+			continue
+		}
+		if h := q.peek(); h.at < at || (h.at == at && h.seq < seq) {
+			m, at, seq = int32(i), h.at, h.seq
+		}
+	}
+	e.laneMin, e.laneAt, e.laneSeq = m, at, seq
+	return it
 }
 
 // ring is a growable power-of-two FIFO ring buffer. It replaces both the

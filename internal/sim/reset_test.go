@@ -75,3 +75,55 @@ func TestResetDiscardsPendingEvents(t *testing.T) {
 		t.Fatalf("post-reset run broken: wall=%g ran=%v", wall, ran)
 	}
 }
+
+// TestResetWithPendingLaneEvents stops a run with events queued in fixed
+// lanes: Pending counts them, Reset discards them and the registrations
+// but keeps each lane's ring capacity, and the engine schedules through
+// lanes registered afresh exactly as before.
+func TestResetWithPendingLaneEvents(t *testing.T) {
+	e := NewEngine()
+	program := func() (fires []float64, wall float64) {
+		slow, fast := e.FixedLane(1), e.FixedLane(0.25)
+		var tick func()
+		tick = func() {
+			fires = append(fires, e.Now())
+			if e.Now() >= 4 {
+				e.Stop()
+			}
+			e.AfterLane(slow, tick)
+			e.AfterLane(fast, func() { fires = append(fires, -e.Now()) })
+		}
+		for i := 0; i < 16; i++ {
+			e.AfterLane(slow, tick)
+		}
+		return fires, e.Run()
+	}
+	first, wall := program()
+	if e.Pending() == 0 {
+		t.Fatal("expected lane events pending after Stop")
+	}
+	capBefore := cap(e.lanes[0].q.buf)
+	e.Reset()
+	if e.Pending() != 0 || len(e.lanes) != 0 {
+		t.Fatalf("Reset left %d pending events and %d lanes", e.Pending(), len(e.lanes))
+	}
+	if q := &e.lanes[:1][0].q; q.n != 0 || cap(q.buf) != capBefore {
+		t.Fatalf("Reset left the lane ring with %d entries and cap %d, want 0 and %d", q.n, cap(q.buf), capBefore)
+	}
+	// No trace of the discarded lane events may steer a run without lanes.
+	ran := false
+	e.At(10, func() { ran = true })
+	if end := e.Run(); end != 10 || !ran || e.Fired() != 1 {
+		t.Fatalf("heap-only run after Reset: end=%g ran=%v fired=%d", end, ran, e.Fired())
+	}
+	e.Reset()
+	second, wall2 := program()
+	if wall != wall2 || len(first) != len(second) {
+		t.Fatalf("replay after Reset diverged: wall %g vs %g, %d vs %d fires", wall, wall2, len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("fire %d diverged after Reset: %g vs %g", i, first[i], second[i])
+		}
+	}
+}

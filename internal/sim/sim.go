@@ -12,10 +12,17 @@
 // pointer-free {at, seq, idx} records, same-instant wakeups go through a
 // FIFO fast lane instead of the heap, resource wait queues are ring
 // buffers, and the Acquire/Use grant paths record their bookkeeping in
-// waiter slots instead of capture closures. Event ordering is bit-identical
-// to the original container/heap kernel — strictly increasing (at, seq) —
-// which the equivalence and fuzz suites in this package assert against a
-// reference implementation.
+// waiter slots instead of capture closures.
+//
+// Models that schedule many events at a few constant delays register each
+// delay once with FixedLane and schedule through it with AfterLane. Events
+// pushed at now+d for one fixed d arrive already sorted — now never
+// decreases and IEEE addition is monotone — so each such lane is a plain
+// FIFO ring and costs no heap sift. The run loop merges the heads of the
+// heap, the fixed lanes and the same-instant lane by (at, seq), so event
+// ordering is bit-identical to the original container/heap kernel —
+// strictly increasing (at, seq) — which the equivalence and fuzz suites in
+// this package assert against a reference implementation.
 package sim
 
 import (
@@ -32,14 +39,24 @@ type Engine struct {
 	seq uint64
 	// heap holds time-ordered future events; lane holds events scheduled at
 	// the current instant (at == now), which dominate real runs because
-	// every Resource grant is a same-instant wakeup. Lane entries are
-	// already (at, seq)-sorted, so the run loop merges the two queues by
-	// head comparison instead of paying a heap sift per same-instant event.
-	// Payloads live in arena slots recycled through free; see heap.go.
-	heap  []heapItem
-	lane  ring[laneItem]
-	arena []event
-	free  []int32
+	// every Resource grant is a same-instant wakeup; lanes holds one FIFO
+	// per delay registered with FixedLane. laneMin indexes the lane whose
+	// head is earliest and laneAt/laneSeq copy that head's order key, so
+	// the run loop reads it without chasing the ring (-1 and +Inf when
+	// every fixed lane is empty). Lane entries are
+	// already (at, seq)-sorted, so the run loop merges the queues by head
+	// comparison instead of paying a heap sift per lane event. Heap and
+	// same-instant payloads live in arena slots recycled through free; a
+	// fixed-lane event is always a plain closure and carries it itself.
+	// See heap.go.
+	heap    []heapItem
+	lane    ring[laneItem]
+	lanes   []fixedLane
+	laneMin int32
+	laneAt  float64
+	laneSeq uint64
+	arena   []event
+	free    []int32
 
 	fired   uint64
 	stopped bool
@@ -47,7 +64,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{laneMin: -1, laneAt: math.Inf(1)}
 }
 
 // Now returns the current simulated time in seconds.
@@ -85,6 +102,57 @@ func (e *Engine) After(d float64, fn func()) {
 		panic(fmt.Sprintf("sim: negative or non-finite delay %g", d))
 	}
 	e.schedule(e.now+d, event{kind: evFire, fn: fn})
+}
+
+// Lane is a handle to a fixed-delay FIFO lane returned by FixedLane. It is
+// valid until the engine's next Reset.
+type Lane struct{ i int32 }
+
+// FixedLane registers a FIFO lane for events scheduled d seconds from now,
+// or returns the lane already registered for d. Scheduling through a lane
+// with AfterLane orders events exactly as After(d) would, but costs no heap
+// sift, which pays off for a delay a model uses constantly. d is validated
+// by AfterLane, where After would validate it.
+func (e *Engine) FixedLane(d float64) Lane {
+	for i := range e.lanes {
+		if e.lanes[i].d == d {
+			return Lane{int32(i)}
+		}
+	}
+	// Reuse a slot left by Reset so its ring keeps its capacity.
+	n := len(e.lanes)
+	if n < cap(e.lanes) {
+		e.lanes = e.lanes[:n+1]
+		e.lanes[n].d = d
+	} else {
+		e.lanes = append(e.lanes, fixedLane{d: d})
+	}
+	return Lane{int32(n)}
+}
+
+// AfterLane schedules fn to run the lane's delay from now: After(d, fn)
+// for the d the lane was registered with, with the same panics for a
+// negative or non-finite delay or a non-finite fire time.
+//
+//stellar:hotpath
+func (e *Engine) AfterLane(l Lane, fn func()) {
+	fl := &e.lanes[l.i]
+	d := fl.d
+	if !(d >= 0 && d <= math.MaxFloat64) {
+		panic(fmt.Sprintf("sim: negative or non-finite delay %g", d))
+	}
+	t := e.now + d
+	if !(t <= math.MaxFloat64) { // d >= 0 keeps t >= now; only overflow remains
+		panic(fmt.Sprintf("sim: scheduling at non-finite time %g", t))
+	}
+	e.seq++
+	// A push onto a non-empty lane leaves its head alone; onto an empty one
+	// it becomes the earliest lane head unless another head is strictly
+	// earlier (on a tie the older head has the lower seq).
+	if fl.q.n == 0 && t < e.laneAt {
+		e.laneMin, e.laneAt, e.laneSeq = l.i, t, e.seq
+	}
+	fl.q.push(laneEvent{at: t, seq: e.seq, fn: fn})
 }
 
 // schedule stamps the event with the next sequence number and enqueues it:
@@ -134,10 +202,12 @@ func (e *Engine) afterDelay(d float64, ev event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its initial state — clock at zero, no pending
-// events — while keeping the heap, lane, arena, and free-list capacity, so a
-// pooled engine reaches an allocation-free steady state across runs. Pending
-// events of an aborted run are discarded; their arena slots are zeroed so
-// abandoned closures and resources are not pinned.
+// events, no registered fixed lanes — while keeping the heap, lane, fixed
+// lane, arena, and free-list capacity, so a pooled engine reaches an
+// allocation-free steady state across runs. Pending events of an aborted
+// run are discarded; their arena slots are zeroed so abandoned closures
+// and resources are not pinned. Lane handles from before the Reset are
+// invalid.
 func (e *Engine) Reset() {
 	for i := range e.arena {
 		e.arena[i] = event{}
@@ -146,6 +216,11 @@ func (e *Engine) Reset() {
 	e.free = e.free[:0]
 	e.heap = e.heap[:0]
 	e.lane.reset()
+	for i := range e.lanes {
+		e.lanes[i].q.reset()
+	}
+	e.lanes = e.lanes[:0]
+	e.laneMin, e.laneAt = -1, math.Inf(1)
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -187,7 +262,28 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 	// starts at zero so the context is polled before the first event, as
 	// the modulo did at fired == 0.
 	var countdown uint64
-	for (e.lane.n > 0 || len(e.heap) > 0) && !e.stopped {
+	for !e.stopped {
+		// Merge the queues on (at, seq). Same-instant entries sit at the
+		// current instant, so they fire first unless the heap head or the
+		// earliest fixed-lane head ties them on at with a lower seq.
+		// Otherwise the earlier of those two heads fires; laneAt is +Inf
+		// when every fixed lane is empty. A heap entry at the current
+		// instant always has the lower seq: it was scheduled before the
+		// clock got here, since schedule sends at == now to the lane. A
+		// fixed-lane entry need not have (d == 0), so its seq is compared.
+		heaped := len(e.heap) > 0
+		instant, fromLane := false, false
+		if e.lane.n > 0 {
+			instant = (!heaped || e.heap[0].at > e.now) &&
+				(e.laneAt > e.now || e.lane.peek().seq < e.laneSeq)
+		}
+		if !instant {
+			fromLane = !heaped || e.laneAt < e.heap[0].at ||
+				(e.laneAt == e.heap[0].at && e.laneSeq < e.heap[0].seq)
+			if fromLane && e.laneAt > math.MaxFloat64 {
+				break // every queue is empty
+			}
+		}
 		if countdown == 0 {
 			if err := ctx.Err(); err != nil {
 				return e.now, err
@@ -195,14 +291,17 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 			countdown = checkEvery
 		}
 		countdown--
-		// Merge the two queues on (at, seq). Lane entries sit at the
-		// current instant, so the heap head loses whenever it is in the
-		// future; on a time tie the lower sequence number fires first.
 		var idx int32
-		if e.lane.n > 0 && (len(e.heap) == 0 ||
-			e.heap[0].at > e.now || e.lane.peek().seq < e.heap[0].seq) {
+		switch {
+		case instant:
 			idx = e.lane.pop().idx
-		} else {
+		case fromLane:
+			it := e.lanePop()
+			e.now = it.at
+			e.fired++
+			it.fn()
+			continue
+		default:
 			it := e.heapPop()
 			e.now = it.at
 			idx = it.idx
@@ -236,7 +335,13 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 func (e *Engine) noteFired(start uint64) { totalFired.Add(e.fired - start) }
 
 // Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return len(e.heap) + e.lane.len() }
+func (e *Engine) Pending() int {
+	n := len(e.heap) + e.lane.len()
+	for i := range e.lanes {
+		n += e.lanes[i].q.len()
+	}
+	return n
+}
 
 // waiterKind tells dispatch what to schedule at the grant instant.
 type waiterKind uint8
