@@ -79,6 +79,7 @@ import (
 	"stellar/internal/core"
 	"stellar/internal/experiments"
 	"stellar/internal/llm/simllm"
+	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
 	"stellar/internal/pool"
@@ -372,7 +373,7 @@ func evalPass(ctx context.Context, pass int) (benchRecord, error) {
 	}
 	cfg := params.DefaultConfig(evalEng.Registry())
 	eval := func() error {
-		_, err := evalEng.Evaluate(ctx, "IOR_16M", cfg, evalReps, evalSeed)
+		_, _, err := evalEng.Evaluate(ctx, "IOR_16M", cfg, evalReps, evalSeed, lustre.FaultPlan{})
 		return err
 	}
 	if pass == 1 {

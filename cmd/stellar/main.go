@@ -43,6 +43,7 @@ import (
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/search"
+	"stellar/internal/stats"
 	"stellar/internal/workload"
 )
 
@@ -92,8 +93,9 @@ func main() {
 		Seed:          *seed,
 		Parallel:      *parallel,
 		Platform:      plat,
-		// The engine-wide plan: the agentic loop's trials and the plain
-		// search both measure on the degraded cluster.
+		// The engine-wide plan covers the agentic loop's trials; runSearch
+		// passes the same plan to every evaluation, so both measure on the
+		// degraded cluster.
 		Faults: plan,
 	})
 	if !plan.IsZero() {
@@ -172,11 +174,13 @@ func runSearch(ctx context.Context, eng *core.Engine, name string, candidates, r
 	if err != nil {
 		fatal(err)
 	}
-	eval := eng.EvaluateSeries
+	var eval search.EvalFunc = func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
+		return eng.Evaluate(ctx, wl, cfg, reps, seedBase, plan)
+	}
 	if objective == "robust" {
 		plans := plan.Variants(variants)
 		eval = search.PerturbedEval(variants, func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64, v int) ([]float64, error) {
-			walls, _, err := eng.EvaluateBatchFaults(ctx, wl, cfg, reps, seedBase, plans[v])
+			walls, _, err := eng.Evaluate(ctx, wl, cfg, reps, seedBase, plans[v])
 			return walls, err
 		})
 	}

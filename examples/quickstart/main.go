@@ -15,9 +15,9 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// The LLM backend. Offline this is the deterministic expert-policy
-	// model suite; swap in httpllm.New("https://api.openai.com/v1", key)
-	// to drive a real endpoint with identical prompts.
+	// The LLM backend: the deterministic expert-policy model suite. Any
+	// llm.Client implementation for a real endpoint drops in here and
+	// receives identical prompts.
 	backend := simllm.New(simllm.GPT4o)
 
 	eng := core.New(backend, core.Options{

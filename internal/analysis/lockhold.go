@@ -6,18 +6,19 @@ import (
 	"go/types"
 )
 
-// LockHold guards the serving tier's two contended mutex families — the
-// runcache shard locks and the server job locks — against work that can
-// block (or merely take unbounded time) inside a critical section. Sixteen
-// concurrent requests hash onto a handful of shards; one channel wait or
-// disk write under a shard mutex serializes the fleet. Within the runcache
-// and server packages, while any sync.Mutex/RWMutex is held the analyzer
-// forbids:
+// LockHold guards the serving tier's contended mutex families — the
+// runcache shard locks, the server job locks, and the pool's queue and
+// flight-group locks — against work that can block (or merely take
+// unbounded time) inside a critical section. Sixteen concurrent requests
+// hash onto a handful of shards; one channel wait or disk write under a
+// shard mutex serializes the fleet. Within the runcache, server and pool
+// packages, while any sync.Mutex/RWMutex is held the analyzer forbids:
 //
 //   - channel sends, receives, and selects;
 //   - pool.Queue calls (DoAs and DoWaitAs park on channels; even
 //     SubmitAs takes the queue's own lock, nesting lock orders across
-//     packages);
+//     packages), except inside package pool, where they are the queue's
+//     own implementation;
 //   - file and network I/O (os, net, net/http, io, bufio, and the
 //     platform recording helpers, which hit the disk).
 //
@@ -27,7 +28,7 @@ import (
 // exactly like the runtime does.
 var LockHold = &Analyzer{
 	Name: "lockhold",
-	Doc:  "no channel ops, pool.Queue calls, or file/network I/O while a runcache or server mutex is held",
+	Doc:  "no channel ops, pool.Queue calls, or file/network I/O while a runcache, server or pool mutex is held",
 	Run:  runLockHold,
 }
 
@@ -36,6 +37,7 @@ var LockHold = &Analyzer{
 var lockHoldPkgs = map[string]bool{
 	"runcache": true,
 	"server":   true,
+	"pool":     true,
 }
 
 // ioPkgs are packages whose calls mean file or network I/O.
@@ -275,7 +277,8 @@ func (w *lockWalker) checkCallUnderLock(call *ast.CallExpr, held map[string]toke
 		return
 	}
 	if named := recvNamed(fn); named != nil {
-		if named.Obj().Name() == "Queue" && lastSegment(funcPkgPath(fn)) == "pool" {
+		if named.Obj().Name() == "Queue" && lastSegment(funcPkgPath(fn)) == "pool" &&
+			lastSegment(w.pass.Pkg.Path()) != "pool" {
 			w.violation(call.Pos(), "pool.Queue."+fn.Name()+" call", held)
 			return
 		}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,6 +16,7 @@ import (
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/workload"
 )
 
@@ -118,14 +118,6 @@ func sub(a, b uint64) uint64 {
 	return a - b
 }
 
-// flight is one in-progress forward; duplicate callers for the same key
-// wait on done instead of dialing the owner again.
-type flight struct {
-	done chan struct{}
-	res  *platform.RunResult
-	err  error
-}
-
 // Fleet is a platform.Platform that routes each run to its rendezvous
 // owner. Owned keys (and single-node rings, traced runs, and unreachable
 // owners) execute on the local cache; everything else is forwarded to the
@@ -137,13 +129,12 @@ type Fleet struct {
 	local  platform.Platform
 	client *http.Client
 
-	mu       sync.Mutex
-	inflight map[string]*flight
+	// flights coalesces duplicate forwards; its joins are CoalescedRemote.
+	flights pool.Group[*platform.RunResult]
 
 	localRuns   atomic.Uint64
 	forwards    atomic.Uint64
 	forwardErrs atomic.Uint64
-	coalesced   atomic.Uint64
 	served      atomic.Uint64
 }
 
@@ -174,7 +165,6 @@ func New(self string, peers []string, local platform.Platform) (*Fleet, error) {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		inflight: make(map[string]*flight),
 	}, nil
 }
 
@@ -199,7 +189,7 @@ func (f *Fleet) Stats() Stats {
 		Local:           f.localRuns.Load(),
 		Forwards:        f.forwards.Load(),
 		ForwardErrs:     f.forwardErrs.Load(),
-		CoalescedRemote: f.coalesced.Load(),
+		CoalescedRemote: f.flights.Joins(),
 		ServedForwards:  f.served.Load(),
 	}
 }
@@ -207,48 +197,19 @@ func (f *Fleet) Stats() Stats {
 // Run implements platform.Platform. Traced runs always execute locally:
 // the TraceSink is a caller-held observer that cannot cross a process
 // boundary (and Trace is excluded from the key, so forwarding one would
-// return a result without its events).
+// return a result without its events). Forwards are flights of the
+// fleet's pool.Group, so a panic in the local fallback retires one too.
 func (f *Fleet) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
-	if spec.Trace != nil || f.ring.Len() < 2 {
-		f.localRuns.Add(1)
-		return f.local.Run(ctx, spec)
-	}
-	key := spec.Key()
-	owner := f.ring.Owner(key)
-	if owner == f.self {
-		f.localRuns.Add(1)
-		return f.local.Run(ctx, spec)
-	}
-	for {
-		f.mu.Lock()
-		if fl, ok := f.inflight[key]; ok {
-			f.mu.Unlock()
-			f.coalesced.Add(1)
-			select {
-			case <-fl.done:
-				// Mirror runcache's flight contract: if the flight leader's
-				// own context died, its error says nothing about the run —
-				// a still-live waiter retries as the new leader.
-				if fl.err != nil && isCtxErr(fl.err) && ctx.Err() == nil {
-					continue
-				}
-				return fl.res, fl.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+	if spec.Trace == nil && f.ring.Len() > 1 {
+		key := spec.Key()
+		if owner := f.ring.Owner(key); owner != f.self {
+			return f.flights.Do(ctx, key, func() (*platform.RunResult, error) {
+				return f.runRemote(ctx, owner, key, spec)
+			})
 		}
-		fl := &flight{done: make(chan struct{})}
-		f.inflight[key] = fl
-		f.mu.Unlock()
-
-		fl.res, fl.err = f.runRemote(ctx, owner, key, spec)
-
-		f.mu.Lock()
-		delete(f.inflight, key)
-		f.mu.Unlock()
-		close(fl.done)
-		return fl.res, fl.err
 	}
+	f.localRuns.Add(1)
+	return f.local.Run(ctx, spec)
 }
 
 // runRemote forwards one run to owner, falling back to local execution when
@@ -307,8 +268,4 @@ func firstLine(data []byte) string {
 		data = data[:200]
 	}
 	return string(data)
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

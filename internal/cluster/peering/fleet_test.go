@@ -3,6 +3,7 @@ package peering
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"stellar/internal/cluster"
 	"stellar/internal/lustre"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/workload"
 )
 
@@ -196,7 +198,7 @@ func TestFleetCancellationDoesNotFallBack(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fleet.Run(ctx, spec); err == nil || !isCtxErr(err) {
+	if _, err := fleet.Run(ctx, spec); err == nil || !pool.IsCtxErr(err) {
 		t.Fatalf("Run with dead ctx = %v, want context error", err)
 	}
 	if n := localPlat.runs.Load(); n != 0 {
@@ -249,6 +251,86 @@ func TestFleetCoalescesDuplicateForwards(t *testing.T) {
 		if res == nil || res.WallTime != float64(spec.Seed) {
 			t.Fatalf("result[%d] = %+v, want WallTime %g", i, res, float64(spec.Seed))
 		}
+	}
+}
+
+// panicOncePlat panics on its first Run, after started/release let a test
+// join a waiter to that flight, and counts like countPlat from then on.
+type panicOncePlat struct {
+	countPlat
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (p *panicOncePlat) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
+	first := false
+	p.once.Do(func() { first = true })
+	if first {
+		p.runs.Add(1)
+		close(p.started)
+		<-p.release
+		panic("fallback exploded")
+	}
+	return p.countPlat.Run(ctx, spec)
+}
+
+// TestFleetFallbackPanicRetiresFlight: the owner is unreachable and the
+// local fallback panics. The panic reaches the flight owner's caller, a
+// joined waiter gets a *pool.PanicError, and the next identical Run falls
+// back again and succeeds instead of joining a flight that never ends.
+func TestFleetFallbackPanicRetiresFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close()
+
+	localPlat := &panicOncePlat{started: make(chan struct{}), release: make(chan struct{})}
+	fleet, err := New("198.51.100.1:1", []string{deadAddr}, localPlat)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	spec := specOwnedBy(t, fleet, deadAddr)
+
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		fleet.Run(context.Background(), spec)
+	}()
+	<-localPlat.started
+	// Deadlines keep a flight that is never retired from hanging the test.
+	waiterCtx, cancelWaiter := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelWaiter()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := fleet.Run(waiterCtx, spec)
+		waiterErr <- err
+	}()
+	for fleet.Stats().CoalescedRemote == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(localPlat.release)
+	if v := <-ownerPanic; v != "fallback exploded" {
+		t.Fatalf("owner's caller saw panic %v, want the fallback's", v)
+	}
+	var pe *pool.PanicError
+	if err := <-waiterErr; !errors.As(err, &pe) || pe.Value != "fallback exploded" {
+		t.Fatalf("waiter err = %v, want *pool.PanicError", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	res, err := fleet.Run(ctx, spec)
+	if err != nil || res.WallTime != float64(spec.Seed) {
+		t.Fatalf("run after a recovered panic: res=%v err=%v", res, err)
+	}
+	if n := localPlat.runs.Load(); n != 2 {
+		t.Fatalf("local platform ran %d times, want 2 (the panic, then the retry)", n)
+	}
+	if st := fleet.Stats(); st.ForwardErrs != 2 || st.CoalescedRemote != 1 {
+		t.Fatalf("stats = %+v, want forward_errs=2 coalesced_remote=1", st)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // workload build, one pooled procfs render, one shared config snapshot, the
 // simulator's recycled scratch across reps — changes nothing observable:
 // every repetition's wall time is bit-identical to running that repetition
-// alone through the per-rep entry point with the same derived seed.
+// alone as a one-rep Evaluate with the same derived seed.
 func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 	eng := testEngine(t, nil)
 	ctx := context.Background()
@@ -24,7 +24,7 @@ func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 	const reps = 4
 	const seedBase = 99
 
-	walls, sum, err := eng.EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
+	walls, sum, err := eng.Evaluate(ctx, "IOR_16M", cfg, reps, seedBase, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		// Per-rep evaluation of repetition i uses the same seed function:
 		// seedBase + i*101 with a single rep at index 0.
-		single, _, err := eng.EvaluateSeries(ctx, "IOR_16M", cfg, 1, seedBase+int64(i)*101)
+		single, _, err := eng.Evaluate(ctx, "IOR_16M", cfg, 1, seedBase+int64(i)*101, lustre.FaultPlan{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 		}
 	}
 	// The summary must summarize exactly the returned series.
-	again, sum2, err := eng.EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
+	again, sum2, err := eng.Evaluate(ctx, "IOR_16M", cfg, reps, seedBase, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,9 @@ func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 
 // TestEvaluateBatchFaults pins the fault seam end to end through the
 // engine: a seeded plan reproduces bit-identically across two independent
-// engines (the cross-process determinism the CI smoke also checks),
-// perturbs the clean series, and composes with the engine-wide default in
-// Options.Faults — which an explicit zero plan overrides back to clean.
+// engines (the cross-process determinism the CI smoke also checks) and
+// perturbs the clean series, and Evaluate's zero plan means a healthy
+// cluster even on an engine whose Options.Faults (Tune's plan) is set.
 func TestEvaluateBatchFaults(t *testing.T) {
 	ctx := context.Background()
 	cfg := params.Config{"osc.max_rpcs_in_flight": 16}
@@ -69,15 +69,15 @@ func TestEvaluateBatchFaults(t *testing.T) {
 	const reps = 3
 	const seedBase = 99
 
-	clean, _, err := testEngine(t, nil).EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
+	clean, _, err := testEngine(t, nil).Evaluate(ctx, "IOR_16M", cfg, reps, seedBase, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, sumA, err := testEngine(t, nil).EvaluateBatchFaults(ctx, "IOR_16M", cfg, reps, seedBase, plan)
+	a, sumA, err := testEngine(t, nil).Evaluate(ctx, "IOR_16M", cfg, reps, seedBase, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sumB, err := testEngine(t, nil).EvaluateBatchFaults(ctx, "IOR_16M", cfg, reps, seedBase, plan)
+	b, sumB, err := testEngine(t, nil).Evaluate(ctx, "IOR_16M", cfg, reps, seedBase, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,25 +88,16 @@ func TestEvaluateBatchFaults(t *testing.T) {
 		t.Fatal("fault plan left the wall-time series untouched")
 	}
 
-	// Options.Faults is the default for every trial; an explicit zero plan
-	// passed to EvaluateBatchFaults must still mean "healthy cluster".
 	faultedEngine := testEngine(t, func(o *Options) { o.Faults = plan })
-	viaDefault, _, err := faultedEngine.EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaDefault, a) {
-		t.Fatal("engine-default plan diverged from the explicit per-call plan")
-	}
-	override, _, err := faultedEngine.EvaluateBatchFaults(ctx, "IOR_16M", cfg, reps, seedBase, lustre.FaultPlan{})
+	override, _, err := faultedEngine.Evaluate(ctx, "IOR_16M", cfg, reps, seedBase, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(override, clean) {
-		t.Fatal("zero-plan override did not restore the clean series")
+		t.Fatal("Options.Faults leaked into an Evaluate under the zero plan")
 	}
 
-	if _, _, err := testEngine(t, nil).EvaluateBatchFaults(ctx, "IOR_16M", cfg, 1, 1, lustre.FaultPlan{Severity: 2}); err == nil {
+	if _, _, err := testEngine(t, nil).Evaluate(ctx, "IOR_16M", cfg, 1, 1, lustre.FaultPlan{Severity: 2}); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"stellar/internal/cluster"
 	"stellar/internal/llm"
+	"stellar/internal/lustre"
 	"stellar/internal/params"
 )
 
@@ -20,13 +21,13 @@ import (
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	cfg := params.DefaultConfig(params.Lustre())
 	serialEng := testEngine(t, nil)
-	serial, err := serialEng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 42)
+	_, serial, err := serialEng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 42, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		parEng := testEngine(t, func(o *Options) { o.Parallel = workers })
-		par, err := parEng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 42)
+		_, par, err := parEng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 42, lustre.FaultPlan{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestEvaluateCancellation(t *testing.T) {
 	eng := testEngine(t, func(o *Options) { o.Parallel = 2 })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.Evaluate(ctx, "IOR_16M", params.DefaultConfig(eng.Registry()), 8, 42)
+	_, _, err := eng.Evaluate(ctx, "IOR_16M", params.DefaultConfig(eng.Registry()), 8, 42, lustre.FaultPlan{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -43,10 +43,9 @@ type Options struct {
 	MaxAttempts   int     // configuration trials per tuning run (paper: 5)
 	Seed          int64
 
-	// Faults is the engine-wide fault plan: every trial — evaluation reps
-	// and tuning-loop runs alike — executes under it. The zero value is a
-	// healthy cluster and leaves results and cache keys bit-identical to a
-	// pre-fault engine. EvaluateBatchFaults overrides it per call.
+	// Faults is the fault plan Tune's trials execute under. The zero value
+	// is a healthy cluster and leaves results and cache keys bit-identical
+	// to a pre-fault engine. Evaluate takes its plan per call instead.
 	Faults lustre.FaultPlan
 
 	// Parallel bounds the worker pool Evaluate fans its repetitions over.
@@ -85,8 +84,8 @@ type Engine struct {
 	trees sync.Pool
 }
 
-// New creates an engine. client is the LLM backend (simllm offline, or an
-// httpllm client online); each run wraps it in its own Meter for cost
+// New creates an engine. client is the LLM backend (simllm, or any real
+// provider's llm.Client); each run wraps it in its own Meter for cost
 // accounting.
 func New(client llm.Client, opts Options) *Engine {
 	if opts.Scale == 0 {
@@ -218,41 +217,18 @@ func (e *Engine) snapshotConfig(cfg params.Config) (params.Config, error) {
 }
 
 // Evaluate measures a configuration over reps repetitions with distinct
-// seeds, as the paper's eight-run averaging does. Repetitions fan out over
-// a worker pool bounded by Options.Parallel; each rep's seed is a pure
-// function of its index and each result lands in its own slot, so the
-// summary is bit-identical to a serial run.
-func (e *Engine) Evaluate(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64) (stats.Summary, error) {
-	_, sum, err := e.EvaluateSeries(ctx, workloadName, cfg, reps, seedBase)
-	return sum, err
-}
-
-// EvaluateSeries is Evaluate exposed job-shaped: it additionally returns the
-// per-repetition wall times in repetition order, so a serving layer can hand
-// clients the raw measurement series alongside the summary without a second
-// pass. The returned slice is owned by the caller.
-func (e *Engine) EvaluateSeries(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
-	return e.EvaluateBatch(ctx, workloadName, cfg, reps, seedBase)
-}
-
-// EvaluateBatch is the batched form of EvaluateSeries: the workload is
-// resolved and the configuration rendered over defaults exactly once, and the
+// seeds, as the paper's eight-run averaging does, under the given fault
+// plan (the zero plan is a healthy cluster), and returns the per-repetition
+// wall times in repetition order plus their summary. The workload is
+// resolved and the configuration rendered over defaults once; the
 // resulting immutable snapshot is shared by every repetition, so the
-// per-rep cost is one platform run and nothing else. Each rep's seed stays
-// the same pure function of its index as in per-rep Evaluate — seedBase +
-// i*101 — so wall times, summaries, and run-cache keys are bit-identical to
-// evaluating each repetition individually. /v1/evaluate, /v1/sweeps, and
-// /v1/tune all reach the simulator through here.
-func (e *Engine) EvaluateBatch(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
-	return e.EvaluateBatchFaults(ctx, workloadName, cfg, reps, seedBase, e.opts.Faults)
-}
-
-// EvaluateBatchFaults is EvaluateBatch under an explicit fault plan,
-// overriding the engine default for this call only. The plan is taken as
-// given — a zero plan means a healthy cluster even when Options.Faults is
-// set — which is what lets the robustness objective sweep clean-plus-faulted
-// variants through one engine.
-func (e *Engine) EvaluateBatchFaults(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64, faults lustre.FaultPlan) ([]float64, stats.Summary, error) {
+// per-rep cost is one platform run. Repetitions fan out over a worker pool
+// bounded by Options.Parallel; rep i's seed is seedBase + i*101 and its
+// result lands in its own slot, so walls, summary and run-cache keys are
+// bit-identical to a serial run or to evaluating each repetition alone.
+// Every evaluation in the repo, served or not, reaches the simulator
+// through here.
+func (e *Engine) Evaluate(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64, faults lustre.FaultPlan) ([]float64, stats.Summary, error) {
 	if err := faults.Validate(); err != nil {
 		return nil, stats.Summary{}, fmt.Errorf("core: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"stellar/internal/cluster"
 	"stellar/internal/llm/simllm"
+	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/rules"
 )
@@ -161,7 +162,7 @@ func TestAblationsDegrade(t *testing.T) {
 
 func TestEvaluateRepeatsWithVariance(t *testing.T) {
 	eng := testEngine(t, nil)
-	s, err := eng.Evaluate(context.Background(), "IOR_16M", params.DefaultConfig(eng.Registry()), 4, 99)
+	_, s, err := eng.Evaluate(context.Background(), "IOR_16M", params.DefaultConfig(eng.Registry()), 4, 99, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}

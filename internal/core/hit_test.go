@@ -6,6 +6,7 @@ import (
 	"context"
 	"testing"
 
+	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
 	"stellar/internal/runcache"
@@ -25,12 +26,12 @@ func TestEvaluateBatchHitGeneratesNothing(t *testing.T) {
 	cfg := params.DefaultConfig(eng.Registry())
 	allocs := map[string]float64{}
 	for _, fam := range []string{"IOR_16M", "MDWorkbench_8K"} {
-		if _, _, err := eng.EvaluateBatch(ctx, fam, cfg, 8, 99); err != nil {
+		if _, _, err := eng.Evaluate(ctx, fam, cfg, 8, 99, lustre.FaultPlan{}); err != nil {
 			t.Fatal(err)
 		}
 		before := cache.Stats()
 		allocs[fam] = testing.AllocsPerRun(10, func() {
-			if _, _, err := eng.EvaluateBatch(ctx, fam, cfg, 8, 99); err != nil {
+			if _, _, err := eng.Evaluate(ctx, fam, cfg, 8, 99, lustre.FaultPlan{}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -11,6 +11,7 @@ import (
 	"stellar/internal/expert"
 	"stellar/internal/llm"
 	"stellar/internal/llm/simllm"
+	"stellar/internal/lustre"
 	"stellar/internal/manual"
 	"stellar/internal/params"
 	"stellar/internal/platform"
@@ -153,15 +154,15 @@ func Fig5TuningPerformance(ctx context.Context, c Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		defS, err := eng.Evaluate(ctx, name, defCfg, c.Reps, c.Seed+1000)
+		_, defS, err := eng.Evaluate(ctx, name, defCfg, c.Reps, c.Seed+1000, lustre.FaultPlan{})
 		if err != nil {
 			return nil, err
 		}
-		expS, err := eng.Evaluate(ctx, name, expCfg, c.Reps, c.Seed+1000)
+		_, expS, err := eng.Evaluate(ctx, name, expCfg, c.Reps, c.Seed+1000, lustre.FaultPlan{})
 		if err != nil {
 			return nil, err
 		}
-		stS, err := eng.Evaluate(ctx, name, res.BestCfg, c.Reps, c.Seed+1000)
+		_, stS, err := eng.Evaluate(ctx, name, res.BestCfg, c.Reps, c.Seed+1000, lustre.FaultPlan{})
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,7 @@
 // The models are rule engines, not neural networks; DESIGN.md documents
 // this substitution. All agent-facing behaviour flows through the same
 // prompts and tool-call protocol a real endpoint would use, so swapping in
-// llm/httpllm changes nothing structurally.
+// a real provider's llm.Client changes nothing structurally.
 package simllm
 
 import (

@@ -68,7 +68,7 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 					errs[i] = gctx.Err()
 					continue
 				}
-				if err := call(gctx, i, fn); err != nil {
+				if err := protect(func() error { return fn(gctx, i) }); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -101,15 +101,15 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 	return fallout
 }
 
-// call runs fn(ctx, i) on one of Map's goroutines, turning a panic into a
-// *PanicError as a Queue worker does.
-func call(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+// protect runs fn, turning a panic into a *PanicError: how Map's own
+// goroutines and Queue workers survive a panicking task.
+func protect(fn func() error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
 		}
 	}()
-	return fn(ctx, i)
+	return fn()
 }
 
 // Values runs fn for every index and collects the results in input order.

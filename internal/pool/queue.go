@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -44,17 +43,11 @@ type queueTask struct {
 
 // run executes the task unless its caller already gave up, and turns a
 // panic into a *PanicError. A skipped task reports its context's error.
-func (t queueTask) run() (err error) {
+func (t queueTask) run() error {
 	if err := t.ctx.Err(); err != nil {
 		return err
 	}
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	t.fn(t.ctx)
-	return nil
+	return protect(func() error { t.fn(t.ctx); return nil })
 }
 
 // Queue is the long-lived counterpart to Map: a bounded executor for jobs

@@ -4,12 +4,12 @@
 // alone recur per figure arm, per sweep point, and per repetition — and
 // every one of those is a deterministic function of its content-addressed
 // RunSpec key. The cache collapses them to one backend run apiece: a
-// bounded LRU holds completed results, and an in-flight table singleflights
-// concurrent requests for the same key so a parallel fan-out issues exactly
-// one simulation per unique spec.
+// bounded LRU holds completed results, and a flight group (pool.Group)
+// singleflights concurrent requests for the same key so a parallel fan-out
+// issues exactly one simulation per unique spec.
 //
 // The cache is sharded by key prefix: each shard owns its own mutex, LRU,
-// and in-flight table, so the serving layer's parallel fan-out contends on
+// and flight group, so the serving layer's parallel fan-out contends on
 // 1/N of the lock traffic a single-mutex cache would see. Keys are hex
 // SHA-256 digests — uniformly distributed — so shards stay balanced.
 //
@@ -29,10 +29,8 @@ package runcache
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"os"
-	"runtime/debug"
 	"sync"
 
 	"stellar/internal/platform"
@@ -125,23 +123,16 @@ type entry struct {
 	res *platform.RunResult
 }
 
-// flight is one in-progress backend run other callers can wait on.
-type flight struct {
-	done chan struct{}
-	res  *platform.RunResult
-	err  error
-}
-
 // shard is one independently locked slice of the cache: its own LRU,
-// in-flight table, and counters. A key maps to exactly one shard, so
+// flight group, and counters. A key maps to exactly one shard, so
 // singleflight semantics are unchanged by sharding.
 type shard struct {
 	mu       sync.Mutex
 	lru      *list.List // front = most recently used; values are *entry
 	items    map[string]*list.Element
-	inflight map[string]*flight
 	capacity int
-	stats    Stats
+	stats    Stats // Coalesced stays zero: flights counts the joins
+	flights  pool.Group[*platform.RunResult]
 }
 
 // Options configures a cache beyond the New defaults.
@@ -204,7 +195,6 @@ func NewWithOptions(inner platform.Platform, opts Options) *Cache {
 		c.shards[i] = &shard{
 			lru:      list.New(),
 			items:    make(map[string]*list.Element),
-			inflight: make(map[string]*flight),
 			capacity: cap,
 		}
 	}
@@ -257,7 +247,7 @@ func (c *Cache) Stats() Stats {
 		sh.mu.Lock()
 		out.Hits += sh.stats.Hits
 		out.Misses += sh.stats.Misses
-		out.Coalesced += sh.stats.Coalesced
+		out.Coalesced += sh.flights.Joins()
 		out.Bypassed += sh.stats.Bypassed
 		out.Evictions += sh.stats.Evictions
 		out.DiskHits += sh.stats.DiskHits
@@ -276,106 +266,76 @@ func (c *Cache) Stats() Stats {
 // and share its result; later callers hit the shard's LRU. With persistence
 // enabled, the flight owner consults the disk before the backend, and a
 // disk hit counts as DiskHits, not Misses. Errors are not cached — a failed
-// run is retried by the next caller, and a coalesced waiter whose own
-// context is still live retries when the flight's owner was cancelled (its
-// cancellation must not poison unrelated callers sharing the cache).
+// run is retried by the next caller. The shard's pool.Group carries the
+// rest of the flight contract: a waiter outlives its owner's cancellation,
+// and a backend panic reaches waiters as a *pool.PanicError.
 func (c *Cache) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
 	if spec.Trace != nil {
 		sh := c.shards[0]
-		sh.mu.Lock()
-		sh.stats.Bypassed++
-		sh.mu.Unlock()
+		sh.publish("", nil, &sh.stats.Bypassed)
 		return c.inner.Run(ctx, spec)
 	}
 	key := spec.Key()
 	sh := c.shardFor(key)
+	if res := sh.hit(key); res != nil {
+		return res, nil
+	}
+	return c.miss(ctx, spec, key, sh)
+}
 
-	for {
-		sh.mu.Lock()
-		if el, ok := sh.items[key]; ok {
-			sh.lru.MoveToFront(el)
-			sh.stats.Hits++
-			res := el.Value.(*entry).res
-			sh.mu.Unlock()
+// hit serves key from the shard's LRU, or returns nil.
+func (sh *shard) hit(key string) (res *platform.RunResult) {
+	sh.mu.Lock()
+	if el, ok := sh.items[key]; ok {
+		sh.lru.MoveToFront(el)
+		sh.stats.Hits++
+		res = el.Value.(*entry).res
+	}
+	sh.mu.Unlock()
+	return res
+}
+
+// miss resolves key through the shard's flight group. The owner checks the
+// LRU again first: a flight that retired between this caller's check and
+// its flight already published the result there.
+func (c *Cache) miss(ctx context.Context, spec platform.RunSpec, key string, sh *shard) (*platform.RunResult, error) {
+	return sh.flights.Do(ctx, key, func() (*platform.RunResult, error) {
+		if res := sh.hit(key); res != nil {
 			return res, nil
 		}
-		if f, ok := sh.inflight[key]; ok {
-			sh.stats.Coalesced++
-			sh.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil && isCtxErr(f.err) && ctx.Err() == nil {
-					continue // owner cancelled, we weren't: try again
-				}
-				return f.res, f.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		sh.inflight[key] = f
-		sh.mu.Unlock()
-		return c.own(ctx, spec, key, sh, f)
-	}
+		return c.load(ctx, spec, key, sh)
+	})
 }
 
-// own runs the flight f that the caller registered for key and retires it.
-// The cleanup is deferred so a backend panic retires the flight too: its
-// waiters get a *pool.PanicError, nothing is cached, and the panic goes on
-// to the owner's caller as if the cache were not there.
-func (c *Cache) own(ctx context.Context, spec platform.RunSpec, key string, sh *shard, f *flight) (res *platform.RunResult, err error) {
-	fromDisk := false
-	defer func() {
-		v := recover()
-		if v != nil {
-			res, err = nil, &pool.PanicError{Value: v, Stack: debug.Stack()}
-		}
-		f.res, f.err = res, err
-		sh.mu.Lock()
-		delete(sh.inflight, key)
-		if err == nil {
-			sh.insertLocked(key, res)
-			if fromDisk {
-				sh.stats.DiskHits++
-			} else {
-				sh.stats.Misses++
-			}
-		} else if !fromDisk {
-			sh.stats.Misses++
-		}
-		sh.mu.Unlock()
-		close(f.done)
-		if v != nil {
-			panic(v)
-		}
-	}()
-	res, fromDisk, err = c.load(ctx, spec, key)
-	return res, err
-}
-
-// load resolves a cache miss: from the persistence directory when one is
-// configured and holds the key, otherwise by executing the backend (writing
-// the result through to disk on the way out). The disk I/O runs outside the
-// shard mutex — only the owning flight performs it, so other keys on the
-// shard proceed unblocked.
-func (c *Cache) load(ctx context.Context, spec platform.RunSpec, key string) (res *platform.RunResult, fromDisk bool, err error) {
+// load resolves a miss for the flight that owns key: from the persistence
+// directory when one is configured and holds the key, otherwise by
+// executing the backend (writing the result through to disk on the way
+// out). A result enters the LRU before the flight retires. The disk I/O
+// runs outside the shard mutex — only the owning flight performs it, so
+// other keys on the shard proceed unblocked.
+func (c *Cache) load(ctx context.Context, spec platform.RunSpec, key string, sh *shard) (*platform.RunResult, error) {
 	if c.dir != "" {
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		rec, derr := platform.ReadRecording(c.dir, key)
 		switch {
 		case derr == nil:
-			out := rec.Result
-			return &out, true, nil
+			res := rec.Result
+			sh.publish(key, &res, &sh.stats.DiskHits)
+			return &res, nil
 		case !os.IsNotExist(derr):
 			// Corrupt or unreadable: fall through to the backend, which
 			// rewrites a clean recording, but count the anomaly.
 			c.diskErr()
 		}
 	}
-	res, err = c.inner.Run(ctx, spec)
-	if err == nil && c.dir != "" {
+	sh.publish(key, nil, &sh.stats.Misses)
+	res, err := c.inner.Run(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	if c.dir != "" {
 		rec := platform.Recording{Key: key, Workload: spec.Workload.Name, Seed: spec.Seed, Result: *res}
 		if werr := platform.WriteRecording(c.dir, &rec); werr != nil {
 			// Persistence is an accelerator, not a correctness dependency:
@@ -383,21 +343,26 @@ func (c *Cache) load(ctx context.Context, spec platform.RunSpec, key string) (re
 			c.diskErr()
 		}
 	}
-	return res, false, err
+	sh.publish(key, res, nil)
+	return res, nil
 }
 
 func (c *Cache) diskErr() {
 	sh := c.shards[0]
+	sh.publish("", nil, &sh.stats.DiskErrs)
+}
+
+// publish, under the shard lock, bumps counter (when non-nil) and puts res
+// (when non-nil) at the front of the LRU, evicting past capacity.
+func (sh *shard) publish(key string, res *platform.RunResult, counter *uint64) {
 	sh.mu.Lock()
-	sh.stats.DiskErrs++
-	sh.mu.Unlock()
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func (sh *shard) insertLocked(key string, res *platform.RunResult) {
+	defer sh.mu.Unlock()
+	if counter != nil {
+		*counter++
+	}
+	if res == nil {
+		return
+	}
 	if el, ok := sh.items[key]; ok {
 		sh.lru.MoveToFront(el)
 		el.Value.(*entry).res = res

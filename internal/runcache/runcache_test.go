@@ -120,15 +120,15 @@ func TestEvaluateBitIdentityCachedVsUncached(t *testing.T) {
 
 	cfg := params.DefaultConfig(params.Lustre())
 	ctx := context.Background()
-	want, err := uncached.Evaluate(ctx, "IOR_16M", cfg, 4, 99)
+	_, want, err := uncached.Evaluate(ctx, "IOR_16M", cfg, 4, 99, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := cached.Evaluate(ctx, "IOR_16M", cfg, 4, 99)
+	_, miss, err := cached.Evaluate(ctx, "IOR_16M", cfg, 4, 99, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := cached.Evaluate(ctx, "IOR_16M", cfg, 4, 99)
+	_, hit, err := cached.Evaluate(ctx, "IOR_16M", cfg, 4, 99, lustre.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}

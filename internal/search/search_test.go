@@ -10,6 +10,7 @@ import (
 	"stellar/internal/cluster"
 	"stellar/internal/core"
 	"stellar/internal/llm/simllm"
+	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
 	"stellar/internal/runcache"
@@ -309,8 +310,11 @@ func TestSearchThroughSharedCache(t *testing.T) {
 		MinReps: 1, MaxReps: 4, Seed: 19, Parallel: 4,
 	}
 
+	eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seed int64) ([]float64, stats.Summary, error) {
+		return eng.Evaluate(ctx, wl, cfg, reps, seed, lustre.FaultPlan{})
+	}
 	run := func() (*Result, string) {
-		res, err := Run(context.Background(), eng.EvaluateSeries, opts, nil)
+		res, err := Run(context.Background(), eval, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,8 +37,9 @@ func (c countingBackend) Run(ctx context.Context, spec platform.RunSpec) (*platf
 }
 
 // startCluster boots n in-process peered servers. Each gets a real TCP
-// listener (peers must be dialable for forwarding) and its own cache, but
-// all share one simulation counter. Returns base URLs, the servers, and
+// listener (peers must be dialable for forwarding) and its own cache over
+// opts.Backend (the simulator when nil), but all share one simulation
+// counter. Returns base URLs, the servers, and
 // the counter.
 func startCluster(t *testing.T, n int, opts Options) ([]string, []*Server, *atomic.Int64) {
 	t.Helper()
@@ -60,7 +61,11 @@ func startCluster(t *testing.T, n int, opts Options) ([]string, []*Server, *atom
 		if o.Scale == 0 {
 			o.Scale = 0.05
 		}
-		o.Backend = countingBackend{inner: platform.Simulator{}, runs: &sims}
+		inner := o.Backend
+		if inner == nil {
+			inner = platform.Simulator{}
+		}
+		o.Backend = countingBackend{inner: inner, runs: &sims}
 		o.Peers = peers
 		o.Self = peers[i]
 		s, err := New(o)

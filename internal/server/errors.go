@@ -90,7 +90,7 @@ func writeErrorBody(w http.ResponseWriter, body ErrorBody) {
 func errorBodyFor(err error) *ErrorBody {
 	code := CodeInternal
 	switch {
-	case isCtxErr(err):
+	case pool.IsCtxErr(err):
 		code = CodeCancelled
 	case errors.Is(err, pool.ErrQueueFull):
 		code = CodeQueueFull

@@ -1,12 +1,11 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 
 	"stellar/internal/cluster/peering"
 	"stellar/internal/workload"
-
-	"errors"
 )
 
 // handleInternalRun serves POST /internal/v1/run: a peer that does not own

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"stellar/internal/pool"
 	"stellar/internal/runcache"
 )
 
@@ -129,7 +130,7 @@ func (j *Job) finish(result json.RawMessage, cache *runcache.Stats) {
 // cancelled rather than failed: the job did not break, its caller left.
 func (j *Job) fail(err error, cache *runcache.Stats) {
 	j.mu.Lock()
-	if isCtxErr(err) {
+	if pool.IsCtxErr(err) {
 		j.status = JobCancelled
 	} else {
 		j.status = JobFailed

@@ -3,13 +3,17 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"stellar/internal/cluster"
+	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/workload"
 )
 
 // panickingPlatform panics on every run while armed and runs the simulator
@@ -94,5 +98,58 @@ func TestBackendPanicCostsOnlyItsRequest(t *testing.T) {
 	pp.armed.Store(false)
 	if resp, data := post(t, ts.URL+"/v1/evaluate", `{"workload":"MDWorkbench_2K","reps":1,"seed":19}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("evaluate after the panics: HTTP %d (%s), want 200", resp.StatusCode, data)
+	}
+}
+
+// TestClusterFallbackPanicThenRecovers: in a two-node fleet, a request sent
+// to the node that does not own its run key forwards it; the owner's
+// backend panics, so the forward fails and the local fallback panics too.
+// The request answers 500 internal. Once the backend is disarmed, the
+// identical request answers 200 instead of joining a flight that never
+// ends.
+func TestClusterFallbackPanicThenRecovers(t *testing.T) {
+	pp := &panickingPlatform{}
+	pp.armed.Store(true)
+	urls, servers, _ := startCluster(t, 2, Options{Backend: pp, Workers: 2, Backlog: 8, Parallel: 2})
+
+	const body = `{"workload":"IOR_16M","reps":1,"seed":23}`
+	spec := cluster.Default()
+	wl, err := workload.Defer("IOR_16M", spec.TotalRanks(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := platform.RunSpec{Spec: spec, Workload: wl, Config: params.DefaultConfig(params.Lustre()), Seed: 23}.Key()
+	node := 0
+	if servers[0].fleet.Ring().Owner(key) == servers[0].fleet.Self() {
+		node = 1
+	}
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	send := func() (int, []byte) {
+		t.Helper()
+		resp, err := client.Post(urls[node]+"/v1/evaluate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("evaluate on the non-owner: %v", err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+
+	status, data := send()
+	var env errorEnvelope
+	if status != http.StatusInternalServerError || json.Unmarshal(data, &env) != nil || env.Error.Code != CodeInternal {
+		t.Fatalf("armed: HTTP %d (%s), want 500 %s", status, data, CodeInternal)
+	}
+	if st := servers[node].fleet.Stats(); st.Forwards != 1 || st.ForwardErrs != 1 {
+		t.Fatalf("non-owner stats %+v, want one failed forward", st)
+	}
+
+	pp.armed.Store(false)
+	if status, data := send(); status != http.StatusOK {
+		t.Fatalf("disarmed: HTTP %d (%s), want 200", status, data)
 	}
 }

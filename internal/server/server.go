@@ -4,7 +4,7 @@
 // engines and throws the run cache away on exit. The server instead routes
 // all simulator work through one process-wide shared runcache.Cache, so
 // concurrent clients requesting the same (workload, configuration, seed)
-// triple trigger exactly one simulation — the singleflight table coalesces
+// triple trigger exactly one simulation — the cache's flight group coalesces
 // the in-flight ones, the LRU serves the rest — and results are
 // content-addressed and re-servable for the life of the process.
 //
@@ -48,7 +48,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -387,7 +386,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// tenant-aware: the header's tenant pays quota and gets fair dispatch.
 	err := s.queue.DoAs(rctx, tenantOf(r), func(ctx context.Context) {
 		job.start()
-		walls, sum, runErr = s.eng.EvaluateBatchFaults(ctx, req.Workload, cfg, reps, seed, faults)
+		walls, sum, runErr = s.eng.Evaluate(ctx, req.Workload, cfg, reps, seed, faults)
 	})
 	if err == nil {
 		err = runErr
@@ -620,10 +619,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // ----------------------------------------------------------------------
 // Helpers
 // ----------------------------------------------------------------------
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // tenantOf extracts the requester's tenant for quota accounting and fair
 // dispatch. An absent header is the "" tenant — all anonymous traffic

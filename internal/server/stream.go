@@ -111,7 +111,7 @@ func (s *Server) evalQueued(ctx context.Context, tenant, wl string, cfg params.C
 		runErr error
 	)
 	if err := s.queue.DoWaitAs(ctx, tenant, func(ctx context.Context) {
-		walls, sum, runErr = s.eng.EvaluateBatchFaults(ctx, wl, cfg, reps, seed, plan)
+		walls, sum, runErr = s.eng.Evaluate(ctx, wl, cfg, reps, seed, plan)
 	}); err != nil {
 		return nil, stats.Summary{}, err
 	}

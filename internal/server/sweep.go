@@ -7,6 +7,7 @@ import (
 
 	"stellar/internal/lustre"
 	"stellar/internal/params"
+	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/workload"
 )
@@ -201,7 +202,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var done, failed int
 	for cell := range results {
 		if cell.err != nil {
-			if isCtxErr(cell.err) {
+			if pool.IsCtxErr(cell.err) {
 				// A cancelled cell is not progress and not a cell failure;
 				// the footer's cancelled flag reports it collectively.
 				continue
